@@ -64,7 +64,7 @@ func main() {
 		scrubEvery = flag.Duration("scrub-interval", 0, "background store scrub pass interval (0 = scrubbing off; needs -store)")
 		scrubRate  = flag.Duration("scrub-rate", 10*time.Millisecond, "background scrub per-entry pacing")
 		metricsOn  = flag.Bool("metrics", true, "serve GET /metrics (Prometheus text) and GET /jobs/{id}/trace")
-		workerMode = flag.Bool("worker", false, "serve as a cluster worker: expose the cell-execution API (POST /cells, POST /traces, GET /workerz)")
+		workerMode = flag.Bool("worker", false, "serve as a cluster worker: expose the cell-execution API (POST /cells, GET /workerz); traces regenerate from each cell's spec")
 		coordPeers = flag.String("coordinator", "", "serve as a cluster coordinator: comma-separated worker base URLs (e.g. http://h1:9001,http://h2:9001)")
 		hedgeAfter = flag.Duration("hedge-after", 30*time.Second, "coordinator: speculatively re-dispatch a cell still unresolved after this long (<0 = off)")
 		clusterS   = flag.Bool("cluster-soak", false, "run the multi-worker chaos campaign instead of serving")

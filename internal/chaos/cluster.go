@@ -65,8 +65,8 @@ type ClusterSummary struct {
 // flakyWorker wraps one worker's handler with a fault mode. "Kill" answers
 // 503 (the process is gone; connections refuse fast); "partition" hangs
 // every request until the client's deadline reaps it (the network ate the
-// packets); "restart" swaps in a brand-new cluster.Worker — in-memory
-// trace cache lost, durable store kept — and heals the mode.
+// packets); "restart" swaps in a brand-new cluster.Worker — its count of
+// resolved traces reset, durable store kept — and heals the mode.
 type flakyWorker struct {
 	st      *store.Store
 	mode    atomic.Int32 // 0 ok; 1 killed; 2 partitioned

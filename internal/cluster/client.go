@@ -1,7 +1,7 @@
 package cluster
 
 // workerClient is the coordinator's HTTP stub for one worker: batch
-// execution, trace shipping, and health probes. Transport failures are
+// execution and health probes. Transport failures are
 // wrapped in transportError so the dispatcher can tell "the worker never
 // answered" (retry elsewhere, feed the health tracker) from "the worker
 // answered with a cell failure" (taxonomy decides).
@@ -70,25 +70,6 @@ func (c *workerClient) ExecBatch(ctx context.Context, cells []CellSpec) ([]CellO
 			err: fmt.Errorf("outcome count %d != cell count %d", len(br.Outcomes), len(cells))}
 	}
 	return br.Outcomes, nil
-}
-
-// PushTrace ships one encoded trace under its content hash.
-func (c *workerClient) PushTrace(ctx context.Context, hash uint64, encoded []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.url+"/traces?hash="+hashString(hash), bytes.NewReader(encoded))
-	if err != nil {
-		return &transportError{worker: c.name, err: err}
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return &transportError{worker: c.name, err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return &transportError{worker: c.name, err: httpStatusError(resp)}
-	}
-	return nil
 }
 
 // Probe checks worker liveness via GET /workerz.

@@ -11,17 +11,18 @@
 //
 //   - a deterministic rendezvous partitioner (partition.go) assigns every
 //     cell to exactly one owning worker for a fixed (workers, seed), so
-//     trace shipping has affinity and a lost worker moves only its own
-//     cells;
+//     a worker keeps seeing the traces it already resolved and a lost
+//     worker moves only its own cells;
 //   - the dispatcher (coordinator.go) batches cells per worker, sends each
 //     batch under its own deadline, retries transport-class failures on the
 //     least-loaded healthy peer, and hedges stragglers with one speculative
 //     re-dispatch — the first response wins, the loser is accounted as
 //     wasted speculation (cluster_hedge_wasted_total), never as a result;
-//   - traces ship at most once per content hash (client.go): cells
-//     reference their trace by hash, a worker that does not hold it answers
-//     "trace missing", and the coordinator ships the bytes and re-sends —
-//     results then cache worker-side in the existing durable store;
+//   - the spec is the transport: a cell names its trace's generator (a
+//     workload at a scale, or a tracegen profile, seed and length) plus the
+//     content hash the coordinator computed, and the worker regenerates
+//     the trace and verifies the hash — trace bytes never cross the wire,
+//     and results cache worker-side in the existing durable store;
 //   - a health tracker (health.go) feeds probe and dispatch outcomes into
 //     per-worker state, quarantining flapping workers so a worker that
 //     oscillates cannot churn the dispatch plan;
@@ -47,6 +48,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/trace"
+	"repro/internal/tracegen"
+	"repro/internal/workloads"
 )
 
 // maxBatchCells bounds one POST /cells body — far above the sweep grids we
@@ -58,11 +61,12 @@ const maxBatchCells = 1024
 // outcomes are small; results are a few KiB each).
 const maxCellsBody = 32 << 20
 
-// CellSpec is one simulation cell on the wire. The trace is referenced by
-// content hash, never carried inline: the coordinator ships the bytes once
-// per (worker, hash) and the worker caches them. Workload and Scale ride
-// along so worker-side store entries keep human-readable filenames and the
-// exact key the coordinator's runner would use.
+// CellSpec is one simulation cell on the wire. The trace is never carried
+// inline: the spec names its generator — exactly one of Workload (at
+// Scale) or Tracegen — and the worker regenerates it, then verifies the
+// result against TraceHash. Workload and Scale are also part of the store
+// key, so worker-side entries keep human-readable filenames and the exact
+// key the coordinator's runner would use.
 type CellSpec struct {
 	// TraceHash is the trace's content hash (trace.ContentHash), rendered
 	// as %016x — JSON numbers cannot carry 64 bits faithfully.
@@ -75,7 +79,53 @@ type CellSpec struct {
 	Window    int         `json:"window,omitempty"` // 0 = the default 2x width
 	Scale     int         `json:"scale"`            // workload scale (>= 1, normalized by the coordinator)
 	SelfCheck bool        `json:"selfcheck,omitempty"`
-	Workload  string      `json:"workload,omitempty"` // informational; part of the store key
+	Workload  string      `json:"workload,omitempty"` // generator: a workloads.ByName program at Scale
+	// Tracegen is the other generator: a synthetic trace.
+	Tracegen *TracegenSpec `json:"tracegen,omitempty"`
+}
+
+// TracegenSpec names a synthetic trace by its generator: a tracegen
+// profile (by name), a seed, and a record count (<= 0: the profile's).
+type TracegenSpec struct {
+	Profile string `json:"profile"`
+	Seed    int64  `json:"seed"`
+	Records int    `json:"records,omitempty"`
+}
+
+// checkGenerator rejects a spec that names both generators or neither.
+func (c CellSpec) checkGenerator() error {
+	if (c.Workload == "") == (c.Tracegen == nil) {
+		return errors.New("cluster: a cell spec names exactly one generator (workload or tracegen)")
+	}
+	return nil
+}
+
+// provider resolves the spec's generator to its trace: the coordinator
+// uses it to hash and for local fallback, the worker to regenerate before
+// verifying against TraceHash. Workload traces come from the process-wide
+// workloads memo under opt; tracegen traces regenerate per open, in O(1)
+// memory whatever their length.
+func (c CellSpec) provider(ctx context.Context, opt workloads.ProviderOptions) (trace.Provider, error) {
+	if err := c.checkGenerator(); err != nil {
+		return nil, err
+	}
+	if g := c.Tracegen; g != nil {
+		p, err := tracegen.ProfileByName(g.Profile)
+		if err != nil {
+			return nil, err
+		}
+		if g.Records > 0 {
+			p.Records = g.Records
+		}
+		return trace.NewRegenProvider(func() (trace.ErrSource, error) {
+			return tracegen.NewStream(g.Seed, p), nil
+		}), nil
+	}
+	w, err := workloads.ByName(c.Workload)
+	if err != nil {
+		return nil, err
+	}
+	return w.Provider(ctx, c.Scale, opt)
 }
 
 // hash parses the spec's trace hash. The coordinator always writes it with
@@ -97,8 +147,8 @@ type batchRequest struct {
 	Cells []CellSpec `json:"cells"`
 }
 
-// CellOutcome is one cell's result on the wire. Exactly one of Result,
-// Error, or TraceMissing is meaningful.
+// CellOutcome is one cell's result on the wire. Exactly one of Result or
+// Error is meaningful.
 type CellOutcome struct {
 	// Result is the marshaled core.Result on success. Raw bytes, decoded
 	// lazily: the coordinator round-trips it through the same JSON shape
@@ -108,9 +158,6 @@ type CellOutcome struct {
 	// Error is the structured failure, classified into the pipeline
 	// taxonomy worker-side so the coordinator can branch on Kind.
 	Error *RemoteError `json:"error,omitempty"`
-	// TraceMissing reports that the worker does not hold the cell's trace:
-	// the coordinator ships it and re-sends the cell.
-	TraceMissing bool `json:"trace_missing,omitempty"`
 	// FromStore reports the result was served from the worker's durable
 	// store rather than computed.
 	FromStore bool `json:"from_store,omitempty"`
@@ -176,45 +223,6 @@ func classifyRemote(err error) *RemoteError {
 		return &RemoteError{Kind: KindCorrupt, Message: err.Error()}
 	}
 	return &RemoteError{Kind: KindSim, Message: err.Error()}
-}
-
-// encodeTrace serializes one open of a trace provider in the v3 binary
-// format for shipping (the same frame ddtrace writes, checksums included).
-// A provider whose stream fails mid-encode fails the encode — a truncated
-// trace must never go on the wire as a plausible short one.
-func encodeTrace(prov trace.Provider) ([]byte, error) {
-	src, err := prov.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer trace.CloseSource(src)
-	var b bytesBuffer
-	tw, err := trace.NewWriter(&b)
-	if err != nil {
-		return nil, err
-	}
-	var rec trace.Record
-	for src.Next(&rec) {
-		if err := tw.Write(&rec); err != nil {
-			return nil, err
-		}
-	}
-	if err := trace.SourceErr(src); err != nil {
-		return nil, err
-	}
-	if err := tw.Close(); err != nil {
-		return nil, err
-	}
-	return b.data, nil
-}
-
-// bytesBuffer is a minimal io.Writer over a byte slice (bytes.Buffer would
-// do; this keeps the allocation profile obvious).
-type bytesBuffer struct{ data []byte }
-
-func (b *bytesBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
 }
 
 // marshalResult serializes a result for the wire — the same plain JSON

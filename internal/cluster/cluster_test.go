@@ -6,7 +6,9 @@ package cluster
 // against the local one — that is the whole point of the plane.
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -62,11 +64,24 @@ func mustConfig(t *testing.T, name string) core.Config {
 	return cfg
 }
 
+// TestExecuteCellMatchesLocalAndShipsTraceOnce: two cells over one
+// workload match local execution, and the trace reaches the worker once —
+// as a cell spec it regenerates a single time for both cells, never as
+// trace bytes on the wire.
 func TestExecuteCellMatchesLocalAndShipsTraceOnce(t *testing.T) {
-	// Regeneration disabled: this test pins the shipping fallback's
-	// at-most-once contract (the regeneration path has its own tests).
-	wk := NewWorker(WorkerOptions{DisableRegen: true})
-	ts := httptest.NewServer(wk.Handler())
+	wk := NewWorker(WorkerOptions{})
+	handler := wk.Handler()
+	var wireBytes atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		wireBytes.Add(int64(len(body)))
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		handler.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 
 	coord, err := New([]string{ts.URL}, testOpts())
@@ -88,12 +103,18 @@ func TestExecuteCellMatchesLocalAndShipsTraceOnce(t *testing.T) {
 		}
 	}
 
-	// One workload, two cells: the trace crossed the wire exactly once.
-	if n := coord.ships.With("w0").Value(); n != 1 {
-		t.Fatalf("trace shipped %d times, want 1", n)
+	// One workload, two cells: the trace was materialised on the worker
+	// exactly once, and everything sent to it is smaller than the trace
+	// itself at one byte per record.
+	if n := wk.regens.Value(); n != 1 {
+		t.Fatalf("worker resolved the trace %d times, want 1", n)
 	}
-	if n := wk.shipsIn.Value(); n != 1 {
-		t.Fatalf("worker received %d trace ships, want 1", n)
+	buf, _, err := w.TraceCachedCtx(context.Background(), testScale)
+	if err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	if n := wireBytes.Load(); n == 0 || n >= int64(buf.Len()) {
+		t.Fatalf("%d request bytes reached the worker for a %d-record trace; want spec-sized requests", n, buf.Len())
 	}
 	if n := wk.cells.With("computed").Value(); n != 2 {
 		t.Fatalf("worker computed %d cells, want 2", n)
@@ -103,14 +124,13 @@ func TestExecuteCellMatchesLocalAndShipsTraceOnce(t *testing.T) {
 	}
 }
 
-func TestTraceReshippedAfterWorkerRestart(t *testing.T) {
+func TestRestartedWorkerRegenerates(t *testing.T) {
 	// An indirection handler stands in for a worker process: "restart"
-	// swaps in a fresh Worker whose in-memory trace cache is empty.
-	// Regeneration is disabled so the workers must ask for bytes — this
-	// test covers the shipping fallback's restart protocol.
+	// swaps in a fresh Worker that has resolved no traces yet. It must
+	// regenerate the trace from the cell spec and answer correctly, with
+	// no help from the coordinator beyond the spec itself.
 	var h atomic.Value
-	wk1 := NewWorker(WorkerOptions{DisableRegen: true})
-	h.Store(wk1.Handler())
+	h.Store(NewWorker(WorkerOptions{}).Handler())
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h.Load().(http.Handler).ServeHTTP(w, r)
 	}))
@@ -128,7 +148,8 @@ func TestTraceReshippedAfterWorkerRestart(t *testing.T) {
 		t.Fatalf("first cell: %v", err)
 	}
 
-	h.Store(NewWorker(WorkerOptions{DisableRegen: true}).Handler()) // restart: cache gone
+	restarted := NewWorker(WorkerOptions{})
+	h.Store(restarted.Handler())
 
 	got, err := coord.ExecuteCell(context.Background(), w, cfg, 8, testScale, false)
 	if err != nil {
@@ -138,8 +159,11 @@ func TestTraceReshippedAfterWorkerRestart(t *testing.T) {
 	if diff := want.Diff(got); len(diff) > 0 {
 		t.Fatalf("post-restart result diverges: %v", diff)
 	}
-	if n := coord.ships.With("w0").Value(); n != 2 {
-		t.Fatalf("trace shipped %d times across a restart, want 2", n)
+	if n := restarted.regens.Value(); n != 1 {
+		t.Fatalf("restarted worker regenerated %d traces, want 1", n)
+	}
+	if n := coord.fallbacks.Value(); n != 0 {
+		t.Fatalf("local fallback used %d times across a restart, want 0", n)
 	}
 }
 

@@ -8,7 +8,7 @@ package cluster
 //	owner  := rendezvous(cellKey, workers, seed)   // deterministic affinity
 //	target := owner if usable, else least-loaded usable peer
 //	outcome := batch-dispatch(target) with deadline, retry, one hedge
-//	          (trace shipped at most once per (worker, hash))
+//	          (the worker regenerates the trace the spec names)
 //	fallback: local simulation when no worker is usable or retries exhaust
 //
 // Every dispatched cell resolves into exactly one accounting bucket —
@@ -71,17 +71,12 @@ type Options struct {
 	// Executor seam already owns the store.
 	Store ResultStore
 	// TraceSpoolDir routes the coordinator's own trace generation (for
-	// hashing, shipping, and local fallback) through an on-disk spool
+	// hashing and local fallback) through an on-disk spool
 	// (workloads.ProviderOptions.SpoolDir).
 	TraceSpoolDir string
 	// MaxTraceMem bounds the coordinator's in-memory trace footprint
 	// (workloads.ProviderOptions.MaxMem); ignored when TraceSpoolDir is set.
 	MaxTraceMem int64
-	// DisableShipping turns off whole-trace shipping: a worker answering
-	// trace_missing (it could not regenerate the trace from its spec) is
-	// treated as a transient failure instead of being sent the bytes, so
-	// cells resolve only via spec regeneration or local fallback.
-	DisableShipping bool
 	// now is the injectable clock for tests.
 	now func() time.Time
 }
@@ -131,18 +126,12 @@ type Coordinator struct {
 
 	batchers map[string]*batcher
 
-	mu        sync.Mutex
-	traceProv map[uint64]trace.Provider // for local fallback + shipping
-	traceEnc  map[uint64][]byte         // encoded-once wire bytes
-	shipped   map[string]map[uint64]bool
-
 	// metric handles (rebound by Instrument)
 	dispatched  *metrics.CounterVec // cluster_dispatched_total{worker}
 	completed   *metrics.CounterVec
 	failed      *metrics.CounterVec
 	hedgeWasted *metrics.CounterVec
 	hedges      *metrics.Counter
-	ships       *metrics.CounterVec
 	fallbacks   *metrics.Counter
 	retriesCtr  *metrics.Counter
 	inflight    *metrics.GaugeVec // cluster_inflight_cells{worker}
@@ -165,16 +154,12 @@ func New(urls []string, opt Options) (*Coordinator, error) {
 		batchers: make(map[string]*batcher, len(urls)),
 		ctx:      ctx,
 		cancel:   cancel,
-		traceProv: make(map[uint64]trace.Provider),
-		traceEnc:  make(map[uint64][]byte),
-		shipped:   make(map[string]map[uint64]bool),
 	}
 	for i, u := range urls {
 		name := fmt.Sprintf("w%d", i)
 		c.names = append(c.names, name)
 		c.urls = append(c.urls, u)
 		c.clients[name] = newWorkerClient(name, u, opt.Client)
-		c.shipped[name] = make(map[uint64]bool)
 		c.batchers[name] = newBatcher(c, name)
 	}
 	c.health = newHealthTracker(c.names, healthConfig{
@@ -195,7 +180,6 @@ func (c *Coordinator) register(reg *metrics.Registry) {
 	c.hedgeWasted = reg.CounterVec("cluster_hedge_wasted_total",
 		"dispatched cells whose response lost a hedge race (wasted speculation)", "worker")
 	c.hedges = reg.Counter("cluster_hedges_total", "speculative duplicate dispatches launched")
-	c.ships = reg.CounterVec("cluster_trace_ships_total", "traces shipped to workers", "worker")
 	c.fallbacks = reg.Counter("cluster_local_fallback_total",
 		"cells executed locally (no usable worker, or dispatch retries exhausted)")
 	c.retriesCtr = reg.Counter("cluster_retries_total", "cell re-dispatches after failures")
@@ -208,7 +192,6 @@ func (c *Coordinator) register(reg *metrics.Registry) {
 		c.completed.With(n)
 		c.failed.With(n)
 		c.hedgeWasted.With(n)
-		c.ships.With(n)
 		c.inflight.With(n)
 	}
 }
@@ -305,31 +288,14 @@ func (c *Coordinator) StatusAll() []Status {
 // Executor seam
 
 // ExecuteCell implements experiments.Executor: resolve one sweep cell
-// through the cluster. The trace resolves through the workload's provider
-// under the coordinator's own trace-plane options; in the common case only
-// its content hash travels — workers regenerate from the (workload, scale)
-// spec and the bytes are shipped only when they cannot.
+// through the cluster. Only the (workload, scale) spec and the trace's
+// content hash travel; workers regenerate the trace themselves.
 func (c *Coordinator) ExecuteCell(ctx context.Context, w *workloads.Workload, cfg core.Config, width, scale int, selfCheck bool) (*core.Result, error) {
 	if scale <= 0 {
 		scale = w.DefaultScale
 	}
-	prov, err := w.Provider(ctx, scale, workloads.ProviderOptions{
-		SpoolDir: c.opt.TraceSpoolDir, MaxMem: c.opt.MaxTraceMem})
-	if err != nil {
-		return nil, err
-	}
-	return c.executeProvider(ctx, prov, CellSpec{
+	return c.execute(ctx, CellSpec{
 		Config: cfg, Width: width, Scale: scale, SelfCheck: selfCheck, Workload: w.Name,
-	})
-}
-
-// ExecuteTrace routes an arbitrary trace buffer (e.g. a tracegen grid
-// point) through the cluster. Scale is fixed at 1: raw traces have no
-// workload scale; the value only disambiguates store keys. Specs without a
-// workload name are unregenerable, so workers resolve them by shipping.
-func (c *Coordinator) ExecuteTrace(ctx context.Context, buf *trace.Buffer, cfg core.Config, width, window int, selfCheck bool) (*core.Result, error) {
-	return c.executeProvider(ctx, buf, CellSpec{
-		Config: cfg, Width: width, Window: window, Scale: 1, SelfCheck: selfCheck,
 	})
 }
 
@@ -340,103 +306,48 @@ func (s CellSpec) cellKey() string {
 	return fmt.Sprintf("%s|%s|%d|%d|%d|%t", s.TraceHash, s.Config.Fingerprint(), s.Width, s.Window, s.Scale, s.SelfCheck)
 }
 
-func (c *Coordinator) executeProvider(ctx context.Context, prov trace.Provider, spec CellSpec) (*core.Result, error) {
-	h, err := c.internTrace(prov)
+// execute routes one cell spec, which names its generator and carries a
+// Scale >= 1, through the cluster: it resolves the generator under the
+// coordinator's own trace-plane options, fills in TraceHash, and
+// dispatches.
+func (c *Coordinator) execute(ctx context.Context, spec CellSpec) (*core.Result, error) {
+	prov, err := spec.provider(ctx, workloads.ProviderOptions{
+		SpoolDir: c.opt.TraceSpoolDir, MaxMem: c.opt.MaxTraceMem})
+	if err != nil {
+		return nil, err
+	}
+	h, _, err := prov.ContentHash()
 	if err != nil {
 		return nil, err
 	}
 	spec.TraceHash = hashString(h)
 	key := spec.cellKey()
 
-	// shipRounds bounds trace_missing -> ship -> re-send cycles per cell
-	// (a worker restarting between ship and re-send costs one more round).
-	shipRounds := 0
-	attempts := 0
-	preferred := "" // set after a trace ship: re-send where the bytes just landed
-	var lastErr error
-	for attempts <= c.opt.Retries {
+	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		target := preferred
-		preferred = ""
-		if target == "" || !c.health.Usable(target) {
-			target = c.pickWorker(key, attempts)
-		}
+		target := c.pickWorker(key, attempt)
 		if target == "" {
-			return c.localFallback(ctx, prov, spec)
+			break
 		}
-		out, terr := c.sendCellHedged(ctx, target, spec)
-		if terr != nil {
-			// Transport-class: the worker never answered. Health already
-			// observed inside the batcher; try the next-best peer.
-			lastErr = terr
-			attempts++
-			c.retriesCtr.Inc()
-			continue
-		}
+		out, err := c.sendCellHedged(ctx, target, spec)
 		switch {
-		case out.TraceMissing:
-			if c.opt.DisableShipping {
-				// The worker could not regenerate from the spec and we will
-				// not send bytes: transient failure — another worker may be
-				// able to rebuild it, and local fallback always can.
-				lastErr = fmt.Errorf("cluster: worker %s cannot regenerate trace %s (shipping disabled)", target, spec.TraceHash)
-				attempts++
-				c.retriesCtr.Inc()
-				continue
-			}
-			if shipRounds >= 3 {
-				lastErr = fmt.Errorf("cluster: worker %s still missing trace %s after %d ships", target, spec.TraceHash, shipRounds)
-				attempts++
-				continue
-			}
-			shipRounds++
-			if err := c.shipTrace(ctx, out.worker, h); err != nil {
-				lastErr = err
-				attempts++
-				c.retriesCtr.Inc()
-				continue
-			}
-			// Re-send where the bytes just landed, without consuming an
-			// attempt: trace_missing is the protocol's lazy first contact,
-			// not a failure.
-			preferred = out.worker
-			continue
-		case out.Error != nil:
-			if out.Error.Permanent() {
-				// Deterministic failure: local execution would fail the
-				// same way. Surface it to the runner's taxonomy unchanged.
-				return nil, out.Error
-			}
-			lastErr = out.Error
-			attempts++
-			c.retriesCtr.Inc()
-			continue
-		default:
+		case err == nil && out.Error == nil:
 			return unmarshalResult(out.Result)
+		case err == nil && out.Error.Permanent():
+			// Deterministic failure: local execution would fail the same
+			// way. Surface it to the runner's taxonomy unchanged.
+			return nil, out.Error
 		}
+		// A transport failure (health already observed inside the
+		// batcher) or a transient remote one — a worker that cannot
+		// reproduce the trace included: try the next-best peer.
+		c.retriesCtr.Inc()
 	}
-	// Retries exhausted on transient failures — the cluster degrades to
+	// No usable worker, or retries exhausted — the cluster degrades to
 	// exactly the single-process behavior it scaled up from.
-	_ = lastErr
 	return c.localFallback(ctx, prov, spec)
-}
-
-// internTrace caches the provider (for fallback and shipping) and returns
-// its content hash. Spool and regeneration providers answer from their
-// memoized hash; a materialized Buffer pays one linear scan the first time.
-func (c *Coordinator) internTrace(prov trace.Provider) (uint64, error) {
-	h, _, err := prov.ContentHash()
-	if err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	if _, ok := c.traceProv[h]; !ok {
-		c.traceProv[h] = prov
-	}
-	c.mu.Unlock()
-	return h, nil
 }
 
 // pickWorker chooses the dispatch target for one cell: the rendezvous
@@ -486,45 +397,6 @@ func (c *Coordinator) hedgePick(primary string) string {
 	return c.leastLoaded(peers)
 }
 
-// shipTrace pushes the encoded trace to one worker, at most once per
-// (worker, hash) — a trace_missing response invalidates the mark first, so
-// a restarted worker gets the bytes again.
-func (c *Coordinator) shipTrace(ctx context.Context, worker string, h uint64) error {
-	c.mu.Lock()
-	delete(c.shipped[worker], h) // the worker just told us it lacks it
-	enc, ok := c.traceEnc[h]
-	var prov trace.Provider
-	if !ok {
-		prov = c.traceProv[h]
-	}
-	c.mu.Unlock()
-	if !ok {
-		if prov == nil {
-			return fmt.Errorf("cluster: no trace provider held for %s", hashString(h))
-		}
-		var err error
-		enc, err = encodeTrace(prov)
-		if err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.traceEnc[h] = enc
-		c.mu.Unlock()
-	}
-	sctx, cancel := context.WithTimeout(ctx, c.opt.BatchTimeout)
-	defer cancel()
-	if err := c.clients[worker].PushTrace(sctx, h, enc); err != nil {
-		c.health.Observe(worker, false)
-		return err
-	}
-	c.health.Observe(worker, true)
-	c.mu.Lock()
-	c.shipped[worker][h] = true
-	c.mu.Unlock()
-	c.ships.With(worker).Inc()
-	return nil
-}
-
 // localFallback executes the cell in-process — the transparent degradation
 // path when the cluster cannot help.
 func (c *Coordinator) localFallback(ctx context.Context, prov trace.Provider, spec CellSpec) (*core.Result, error) {
@@ -540,13 +412,6 @@ func (c *Coordinator) localFallback(ctx context.Context, prov trace.Provider, sp
 
 // ---------------------------------------------------------------------------
 // Dispatch: per-worker batching, hedged sends, accounting
-
-// taggedOutcome carries a cell outcome plus which worker answered it (the
-// hedge race means the answering worker is not always the one asked first).
-type taggedOutcome struct {
-	CellOutcome
-	worker string
-}
 
 // cellSend is one copy of one cell in flight to one worker. Its done
 // channel resolves exactly once; whoever consumes the resolution does the
@@ -566,7 +431,7 @@ type sendResult struct {
 // speculative duplicate on another worker if the first copy is still
 // unresolved after HedgeAfter. First resolution wins; the loser's
 // eventual resolution is drained and accounted as wasted speculation.
-func (c *Coordinator) sendCellHedged(ctx context.Context, primary string, spec CellSpec) (*taggedOutcome, error) {
+func (c *Coordinator) sendCellHedged(ctx context.Context, primary string, spec CellSpec) (*CellOutcome, error) {
 	first := c.batchers[primary].enqueue(spec)
 	var hedgeTimer *time.Timer
 	var hedgeCh <-chan time.Time
@@ -607,15 +472,15 @@ func (c *Coordinator) sendCellHedged(ctx context.Context, primary string, spec C
 }
 
 // consume accounts the winning resolution: completed when the response is
-// used (results, remote failures, trace_missing all branch the caller),
-// failed when the transport lost it.
-func (c *Coordinator) consume(r sendResult) (*taggedOutcome, error) {
+// used (results and remote failures both branch the caller), failed when
+// the transport lost it.
+func (c *Coordinator) consume(r sendResult) (*CellOutcome, error) {
 	if r.err != nil {
 		c.failed.With(r.worker).Inc()
 		return nil, r.err
 	}
 	c.completed.With(r.worker).Inc()
-	return &taggedOutcome{CellOutcome: r.outcome, worker: r.worker}, nil
+	return &r.outcome, nil
 }
 
 // drain accounts a losing (or abandoned) send in the background: an

@@ -1,8 +1,9 @@
 package cluster
 
-// Differential conformance through the wire: random generated traces are
-// pushed through a 3-worker cluster and through local execution, and the
-// two must agree point-for-point. The oracle then re-checks the same grid
+// Differential conformance through the wire: cells naming random
+// generated traces (tracegen profile, seed, length) run through a
+// 3-worker cluster, whose workers regenerate each trace from its spec, and
+// through local execution, and the two must agree point-for-point. The oracle then re-checks the same grid
 // against the reference model, so a wire-format bug cannot hide behind a
 // simulator bug that happens to round-trip.
 
@@ -46,7 +47,12 @@ func TestDifferentialTracegenGridThroughCluster(t *testing.T) {
 		for _, cfg := range cfgs {
 			for _, width := range widths {
 				for _, window := range windows {
-					got, err := coord.ExecuteTrace(context.Background(), buf, cfg, width, window, false)
+					// Scale 1: a synthetic trace has no workload scale;
+					// the value only keeps worker-side store keys well-formed.
+					got, err := coord.execute(context.Background(), CellSpec{
+						Tracegen: &TracegenSpec{Profile: p.Name, Seed: seed, Records: p.Records},
+						Config:   cfg, Width: width, Window: window, Scale: 1,
+					})
 					if err != nil {
 						t.Fatalf("%s seed=%d cfg=%s w=%d win=%d: %v", p.Name, seed, cfg.Name, width, window, err)
 					}

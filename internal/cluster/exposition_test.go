@@ -31,8 +31,6 @@ func TestClusterExpositionGolden(t *testing.T) {
 	coord.failed.With("w0").Add(1)
 	coord.hedgeWasted.With("w0").Add(1)
 	coord.hedges.Inc()
-	coord.ships.With("w0").Inc()
-	coord.ships.With("w1").Inc()
 	coord.fallbacks.Add(2)
 	coord.retriesCtr.Inc()
 	coord.batchSecs.Observe(0.5)
@@ -90,10 +88,6 @@ cluster_local_fallback_total 2
 # HELP cluster_retries_total cell re-dispatches after failures
 # TYPE cluster_retries_total counter
 cluster_retries_total 1
-# HELP cluster_trace_ships_total traces shipped to workers
-# TYPE cluster_trace_ships_total counter
-cluster_trace_ships_total{worker="w0"} 1
-cluster_trace_ships_total{worker="w1"} 1
 `
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -140,7 +134,6 @@ func TestWorkerExpositionFamilies(t *testing.T) {
 		`cluster_worker_cells_total{outcome="computed"} 3`,
 		`cluster_worker_cells_total{outcome="store_hit"} 1`,
 		`cluster_worker_batches_total 1`,
-		`cluster_worker_traces_cached 0`,
 	} {
 		if !strings.Contains(out, line+"\n") {
 			t.Errorf("worker exposition missing %q:\n%s", line, out)

@@ -3,18 +3,18 @@ package cluster
 // Worker is the execution half of the compute plane: a minimal HTTP API
 // that accepts batches of cells (POST /cells), executes them on a bounded
 // local concurrency budget, and answers with per-cell outcomes. Cells name
-// their trace by content hash plus a (workload, scale) spec; a worker that
-// does not hold the trace regenerates it locally — deterministically, then
-// verifies the regenerated content hash against the spec's before trusting
-// it — so whole-trace shipping (POST /traces) is only the fallback for
-// traces the worker cannot rebuild. Either way traces are cached by hash;
-// results cache in the existing durable store when one is attached, so a
-// worker restarted mid-sweep resumes from disk exactly like a
-// single-process run would.
+// their trace's generator plus its content hash; the worker regenerates
+// the trace deterministically (through the process-wide workloads memo)
+// and verifies the regenerated hash before trusting it. A worker that
+// cannot reproduce the trace answers a transient failure, and the
+// coordinator moves the cell to a peer or runs it locally. Results cache
+// in the existing durable store when one is attached, so a worker
+// restarted mid-sweep resumes from disk exactly like a single-process run
+// would.
 
 import (
+	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -37,7 +37,7 @@ type ResultStore interface {
 }
 
 // WorkerOptions configures a Worker. The zero value works: no store,
-// GOMAXPROCS-bounded concurrency, a 64-trace cache.
+// GOMAXPROCS-bounded concurrency, regenerated traces held in memory.
 type WorkerOptions struct {
 	// Store, when non-nil, serves cells already on disk without
 	// simulation and persists every computed cell.
@@ -45,9 +45,6 @@ type WorkerOptions struct {
 	// MaxConcurrent bounds simultaneously executing cells across all
 	// in-flight batches; <= 0 means GOMAXPROCS.
 	MaxConcurrent int
-	// MaxTraces bounds the in-memory trace cache; <= 0 means 64. Eviction
-	// is FIFO: an evicted trace is regenerated (or re-shipped) on next use.
-	MaxTraces int
 	// SpoolDir, when non-empty, spools locally regenerated traces to disk
 	// (workloads.ProviderOptions.SpoolDir) instead of materializing them.
 	SpoolDir string
@@ -55,10 +52,6 @@ type WorkerOptions struct {
 	// traces (workloads.ProviderOptions.MaxMem); ignored when SpoolDir is
 	// set.
 	MaxTraceMem int64
-	// DisableRegen turns off local trace regeneration: every unknown trace
-	// answers trace_missing and must be shipped. Regeneration is on by
-	// default.
-	DisableRegen bool
 }
 
 // Worker executes cell batches. Create with NewWorker; mount its handlers
@@ -67,15 +60,12 @@ type Worker struct {
 	opt WorkerOptions
 	sem chan struct{}
 
-	mu     sync.Mutex
-	traces map[uint64]trace.Provider
-	order  []uint64 // FIFO eviction order
+	mu   sync.Mutex
+	seen map[uint64]bool // trace hashes resolved so far, for the regens count
 
 	cells       *metrics.CounterVec // cluster_worker_cells_total{outcome}
 	batches     *metrics.Counter
-	shipsIn     *metrics.Counter
 	regens      *metrics.Counter
-	evictions   *metrics.Counter
 	cellSeconds *metrics.Histogram
 }
 
@@ -84,13 +74,10 @@ func NewWorker(opt WorkerOptions) *Worker {
 	if opt.MaxConcurrent <= 0 {
 		opt.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
-	if opt.MaxTraces <= 0 {
-		opt.MaxTraces = 64
-	}
 	w := &Worker{
-		opt:    opt,
-		sem:    make(chan struct{}, opt.MaxConcurrent),
-		traces: make(map[uint64]trace.Provider),
+		opt:  opt,
+		sem:  make(chan struct{}, opt.MaxConcurrent),
+		seen: make(map[uint64]bool),
 	}
 	w.register(metrics.NewRegistry())
 	return w
@@ -100,20 +87,12 @@ func NewWorker(opt WorkerOptions) *Worker {
 // registry at construction; Instrument rebinds onto a shared one.
 func (w *Worker) register(reg *metrics.Registry) {
 	w.cells = reg.CounterVec("cluster_worker_cells_total",
-		"cells answered by this worker, by outcome (computed, store_hit, trace_missing, failed)", "outcome")
+		"cells answered by this worker, by outcome (computed, store_hit, failed)", "outcome")
 	w.batches = reg.Counter("cluster_worker_batches_total", "cell batches received")
-	w.shipsIn = reg.Counter("cluster_worker_trace_ships_total", "traces received and cached")
 	w.regens = reg.Counter("cluster_worker_trace_regens_total",
-		"traces regenerated locally from their (workload, scale) spec and hash-verified")
-	w.evictions = reg.Counter("cluster_worker_trace_evictions_total", "traces evicted from the cache")
+		"trace hashes this worker resolved for the first time (regenerated from the cell spec and hash-verified)")
 	w.cellSeconds = reg.Histogram("cluster_worker_cell_seconds",
 		"per-cell execution wall time (computed cells only)", nil)
-	reg.GaugeFunc("cluster_worker_traces_cached", "traces currently cached in memory",
-		func() float64 {
-			w.mu.Lock()
-			defer w.mu.Unlock()
-			return float64(len(w.traces))
-		})
 }
 
 // Instrument re-registers the worker's families on a shared registry (the
@@ -126,102 +105,36 @@ func (w *Worker) Instrument(reg *metrics.Registry) { w.register(reg) }
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /cells", w.HandleCells)
-	mux.HandleFunc("POST /traces", w.HandleTraces)
 	mux.HandleFunc("GET /workerz", w.HandleStatus)
 	return mux
 }
 
-// cacheTrace inserts a provider under its hash, evicting FIFO past the cap.
-func (w *Worker) cacheTrace(h uint64, prov trace.Provider) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.traces[h]; ok {
-		return
-	}
-	w.traces[h] = prov
-	w.order = append(w.order, h)
-	for len(w.order) > w.opt.MaxTraces {
-		evict := w.order[0]
-		w.order = w.order[1:]
-		delete(w.traces, evict)
-		w.evictions.Inc()
-	}
-}
-
-func (w *Worker) lookupTrace(h uint64) (trace.Provider, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	prov, ok := w.traces[h]
-	return prov, ok
-}
-
-// regenerate rebuilds the cell's trace locally from its (workload, scale)
-// spec, under the worker's own trace-plane options (spool, memory budget).
-// The regenerated content hash must equal the hash the spec named — the
+// reproduce regenerates the cell's trace from its generator spec, under
+// the worker's own trace-plane options (spool, memory budget). The
+// regenerated content hash must equal the hash the spec names: the
 // coordinator's hash is the ground truth, and a divergent local build
-// (version skew, wrong scale) must never silently answer for it. Any
-// failure returns (nil, false): the caller degrades to trace_missing and
-// the coordinator ships the bytes instead.
-func (w *Worker) regenerate(r *http.Request, spec CellSpec, want uint64) (trace.Provider, bool) {
-	if w.opt.DisableRegen || spec.Workload == "" {
-		return nil, false
-	}
-	wl, err := workloads.ByName(spec.Workload)
-	if err != nil {
-		return nil, false
-	}
-	prov, err := wl.Provider(r.Context(), spec.Scale, workloads.ProviderOptions{
+// (version skew, an unknown generator) must never answer for it. The
+// first resolution of each hash counts as a regeneration.
+func (w *Worker) reproduce(ctx context.Context, spec CellSpec, want uint64) (trace.Provider, error) {
+	prov, err := spec.provider(ctx, workloads.ProviderOptions{
 		SpoolDir: w.opt.SpoolDir, MaxMem: w.opt.MaxTraceMem})
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	got, _, err := prov.ContentHash()
-	if err != nil || got != want {
-		return nil, false
+	if err != nil {
+		return nil, err
 	}
-	w.cacheTrace(want, prov)
-	w.regens.Inc()
-	return prov, true
-}
-
-// TracesCached reports the current trace-cache population.
-func (w *Worker) TracesCached() int {
+	if got != want {
+		return nil, fmt.Errorf("cluster: regenerated trace hashes to %s, spec names %s", hashString(got), spec.TraceHash)
+	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.traces)
-}
-
-// maxTraceBody bounds one shipped trace (256 MiB covers the largest
-// workload scales by two orders of magnitude).
-const maxTraceBody = 256 << 20
-
-// HandleTraces accepts POST /traces?hash=<%016x>: the trace bytes in the
-// v3 binary format. The worker re-hashes what it decoded and refuses a
-// mismatch — a trace corrupted in flight must not poison the cache.
-func (w *Worker) HandleTraces(rw http.ResponseWriter, r *http.Request) {
-	var want uint64
-	if _, err := fmt.Sscanf(r.URL.Query().Get("hash"), "%016x", &want); err != nil {
-		http.Error(rw, "cluster: bad or missing hash parameter", http.StatusBadRequest)
-		return
+	if !w.seen[want] {
+		w.seen[want] = true
+		w.regens.Inc()
 	}
-	tr, err := trace.NewReader(io.LimitReader(r.Body, maxTraceBody))
-	if err != nil {
-		http.Error(rw, "cluster: bad trace stream: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	buf, err := trace.DrainChecked(tr)
-	if err != nil {
-		http.Error(rw, "cluster: corrupt trace stream: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if got := buf.Hash(); got != want {
-		http.Error(rw, fmt.Sprintf("cluster: shipped trace hashes to %016x, header says %016x", got, want),
-			http.StatusBadRequest)
-		return
-	}
-	w.cacheTrace(want, buf)
-	w.shipsIn.Inc()
-	rw.WriteHeader(http.StatusNoContent)
+	w.mu.Unlock()
+	return prov, nil
 }
 
 // HandleCells executes POST /cells: a batch of cells, answered positionally.
@@ -250,9 +163,10 @@ func (w *Worker) HandleCells(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, batchResponse{Outcomes: out})
 }
 
-// executeCell resolves one cell: validation, trace lookup, store lookup,
-// then simulation on the concurrency budget. Panics are isolated into
-// KindPanic outcomes — one poisoned cell must never take the worker down.
+// executeCell resolves one cell: validation, store lookup, trace
+// regeneration, then simulation on the concurrency budget. Panics are
+// isolated into KindPanic outcomes — one poisoned cell must never take the
+// worker down.
 func (w *Worker) executeCell(r *http.Request, spec CellSpec) (out CellOutcome) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -267,6 +181,9 @@ func (w *Worker) executeCell(r *http.Request, spec CellSpec) (out CellOutcome) {
 	}
 	h, err := spec.hash()
 	if err != nil {
+		return fail(KindInvalid, err.Error())
+	}
+	if err := spec.checkGenerator(); err != nil {
 		return fail(KindInvalid, err.Error())
 	}
 	if spec.Width < 1 || spec.Width > 4096 {
@@ -288,22 +205,20 @@ func (w *Worker) executeCell(r *http.Request, spec CellSpec) (out CellOutcome) {
 			// programming error worth surviving, not serving.
 		}
 	}
-	prov, ok := w.lookupTrace(h)
-	if !ok {
-		// Preferred path: rebuild the trace from its spec right here —
-		// cheaper than a cross-wire ship and verified against the spec's
-		// hash. Only when regeneration is impossible (no workload name,
-		// unknown workload, hash mismatch) does the worker ask for bytes.
-		if prov, ok = w.regenerate(r, spec, h); !ok {
-			w.cells.With("trace_missing").Inc()
-			return CellOutcome{TraceMissing: true}
+	ctx := r.Context()
+	prov, err := w.reproduce(ctx, spec, h)
+	if err != nil {
+		if ctx.Err() != nil {
+			return fail(KindCanceled, err.Error())
 		}
+		// Not permanent: a peer (or the coordinator's local fallback) may
+		// still reproduce the trace.
+		return fail(KindSim, "cannot reproduce trace: "+err.Error())
 	}
 
 	// The concurrency budget bounds simultaneous simulations across every
 	// in-flight batch; a canceled request (hedge loser, coordinator gone)
 	// stops waiting instead of holding a slot reservation.
-	ctx := r.Context()
 	select {
 	case w.sem <- struct{}{}:
 		defer func() { <-w.sem }()
@@ -339,17 +254,16 @@ func (w *Worker) executeCell(r *http.Request, spec CellSpec) (out CellOutcome) {
 
 // WorkerStatus is the GET /workerz document.
 type WorkerStatus struct {
-	Worker       bool         `json:"worker"` // always true; presence is the health probe
-	TracesCached int          `json:"traces_cached"`
-	TraceRegens  int64        `json:"trace_regens"` // traces rebuilt locally from spec
-	Cells        int64        `json:"cells"`        // cells answered (all outcomes)
-	Store        *store.Stats `json:"store,omitempty"`
+	Worker      bool         `json:"worker"`       // always true; presence is the health probe
+	TraceRegens int64        `json:"trace_regens"` // trace hashes resolved for the first time
+	Cells       int64        `json:"cells"`        // cells answered (all outcomes)
+	Store       *store.Stats `json:"store,omitempty"`
 }
 
 // HandleStatus serves GET /workerz — the coordinator's health probe.
 func (w *Worker) HandleStatus(rw http.ResponseWriter, r *http.Request) {
-	st := WorkerStatus{Worker: true, TracesCached: w.TracesCached(), TraceRegens: w.regens.Value()}
-	for _, o := range []string{"computed", "store_hit", "trace_missing", "failed"} {
+	st := WorkerStatus{Worker: true, TraceRegens: w.regens.Value()}
+	for _, o := range []string{"computed", "store_hit", "failed"} {
 		st.Cells += w.cells.With(o).Value()
 	}
 	if w.opt.Store != nil {

@@ -93,7 +93,7 @@ func Table1Data(r *Runner) ([]Table1Row, []error, error) {
 	var rows []Table1Row
 	var c collector
 	for _, w := range workloads.All() {
-		prov, err := r.provider(r.Context(), w)
+		prov, err := w.Provider(r.Context(), r.Scale, r.traceOpts)
 		if err == nil {
 			// The provider knows its record count without a replay (spools
 			// and regeneration providers carry it; buffers count in O(1)) —
@@ -170,7 +170,7 @@ func Table2Data(r *Runner) ([]Table2Row, []error, error) {
 // the same open, so the trace is never materialized (and a spooled or
 // regenerated trace is replayed once, not twice).
 func table2Row(r *Runner, w *workloads.Workload) (Table2Row, error) {
-	prov, err := r.provider(r.Context(), w)
+	prov, err := w.Provider(r.Context(), r.Scale, r.traceOpts)
 	if err != nil {
 		return Table2Row{}, err
 	}

@@ -159,3 +159,36 @@ func TestTraceGenFailureDegradesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxTraceMemSurvivesCanceledCaller: under a one-byte trace budget
+// every trace is served by regeneration. Canceling the context of the call
+// that first generated the trace must not break later cells: the
+// regenerator must not capture the creating call's context.
+func TestMaxTraceMemSurvivesCanceledCaller(t *testing.T) {
+	w, err := workloads.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(0).WithMaxTraceMem(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	if _, err := r.ResultCtx(ctx, w, core.ConfigA, 4); err != nil {
+		t.Fatalf("first cell: %v", err)
+	}
+	cancel()
+
+	got, err := r.ResultCtx(context.Background(), w, core.ConfigD, 4)
+	if err != nil {
+		t.Fatalf("second cell after the first call's context was canceled: %v", err)
+	}
+	buf, _, err := w.TraceCached(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.RunChecked(context.Background(), buf.Reader(), core.ConfigD, core.Params{Width: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := want.Diff(got); len(d) > 0 {
+		t.Fatalf("regenerated cell diverges from the buffered trace: %v", d)
+	}
+}

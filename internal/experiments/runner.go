@@ -99,22 +99,8 @@ type Runner struct {
 	cellsDone atomic.Int64
 	computes  atomic.Int64
 
-	mu     sync.Mutex
-	cache  map[runKey]*cacheEntry
-	hashes map[string]uint64 // workload name -> trace content hash
-
-	provMu    sync.Mutex
-	providers map[string]*provEntry // workload name -> trace provider
-}
-
-// provEntry memoizes one workload's trace provider. The entry-level once
-// means a provider is generated exactly once even when a sweep's workers
-// ask for it concurrently — without holding a Runner-wide lock across a
-// whole trace generation.
-type provEntry struct {
-	once sync.Once
-	prov trace.Provider
-	err  error
+	mu    sync.Mutex
+	cache map[runKey]*cacheEntry
 }
 
 type runKey struct {
@@ -176,7 +162,7 @@ func (e *CellDeadlineError) Permanent() bool { return true }
 
 // NewRunner creates a Runner at the given scale (0 = workload defaults).
 func NewRunner(scale int) *Runner {
-	return &Runner{Scale: scale, cache: make(map[runKey]*cacheEntry), hashes: make(map[string]uint64)}
+	return &Runner{Scale: scale, cache: make(map[runKey]*cacheEntry)}
 }
 
 // WithStore opens (creating if needed) a durable result store at dir and
@@ -403,7 +389,7 @@ func (r *Runner) compute(ctx context.Context, w *workloads.Workload, cfg core.Co
 			}
 		}
 		_, tspan := metrics.StartSpan(actx, "trace-gen")
-		prov, terr := r.provider(actx, w)
+		prov, terr := w.Provider(actx, r.Scale, r.traceOpts)
 		tspan.End()
 		if terr != nil {
 			return terr
@@ -511,10 +497,11 @@ func (r *Runner) scaleFor(w *workloads.Workload) int {
 }
 
 // storeKey builds the durable identity of one cell: the trace *content*
-// hash (not its name), the injective config fingerprint, and the run
-// shape. Workload name and scale ride along for human-readable filenames.
+// hash (not its name; providers memoize it), the injective config
+// fingerprint, and the run shape. Workload name and scale ride along for
+// human-readable filenames.
 func (r *Runner) storeKey(w *workloads.Workload, cfg core.Config, width int, prov trace.Provider) (store.Key, error) {
-	h, err := r.traceHash(w, prov)
+	h, _, err := prov.ContentHash()
 	if err != nil {
 		return store.Key{}, err
 	}
@@ -526,61 +513,6 @@ func (r *Runner) storeKey(w *workloads.Workload, cfg core.Config, width int, pro
 		Checked:  r.SelfCheck,
 		Workload: w.Name,
 	}, nil
-}
-
-// traceHash memoizes each workload's trace content hash (spool and
-// regeneration providers know theirs for free, but hashing a materialized
-// Buffer costs one linear scan and the sweep asks per cell). Hashing
-// happens outside the lock so parallel workers don't serialize on it; a
-// rare duplicate computation is benign because the hash is deterministic.
-func (r *Runner) traceHash(w *workloads.Workload, prov trace.Provider) (uint64, error) {
-	r.mu.Lock()
-	if h, ok := r.hashes[w.Name]; ok {
-		r.mu.Unlock()
-		return h, nil
-	}
-	r.mu.Unlock()
-	h, _, err := prov.ContentHash()
-	if err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	if r.hashes == nil {
-		r.hashes = make(map[string]uint64)
-	}
-	r.hashes[w.Name] = h
-	r.mu.Unlock()
-	return h, nil
-}
-
-// provider memoizes each workload's trace provider at the Runner's scale
-// and trace-plane options. The first caller generates (or opens) the
-// trace; concurrent callers for the same workload wait on that one
-// generation rather than racing heap-heavy VM runs against each other.
-func (r *Runner) provider(ctx context.Context, w *workloads.Workload) (trace.Provider, error) {
-	r.provMu.Lock()
-	if r.providers == nil {
-		r.providers = make(map[string]*provEntry)
-	}
-	e, ok := r.providers[w.Name]
-	if !ok {
-		e = &provEntry{}
-		r.providers[w.Name] = e
-	}
-	r.provMu.Unlock()
-	e.once.Do(func() {
-		e.prov, e.err = w.Provider(ctx, r.Scale, r.traceOpts)
-	})
-	if e.err != nil {
-		// A failed generation is not cached forever: a later caller (with a
-		// live context, or after a transient disk error) may retry it.
-		r.provMu.Lock()
-		if r.providers[w.Name] == e {
-			delete(r.providers, w.Name)
-		}
-		r.provMu.Unlock()
-	}
-	return e.prov, e.err
 }
 
 // Prefetch computes all (workload, config, width) results for the given
@@ -605,7 +537,7 @@ func (r *Runner) Prefetch(set []*workloads.Workload, cfgs []core.Config, widths 
 		// and must not race heap-heavy VM runs against each other. A
 		// workload whose trace fails contributes one error, not one per
 		// (config, width) cell.
-		if _, err := r.provider(ctx, w); err != nil {
+		if _, err := w.Provider(ctx, r.Scale, r.traceOpts); err != nil {
 			errs = append(errs, fmt.Errorf("experiments: tracing %s: %w", w.Name, err))
 			continue
 		}

@@ -96,9 +96,9 @@ type Options struct {
 	// its registry and owns Start/Close around the serve lifetime.
 	Coordinator *cluster.Coordinator
 	// Worker, when non-nil, mounts the cell-execution API (POST /cells,
-	// POST /traces, GET /workerz) so this process serves as a cluster
-	// worker (ddserve -worker). A process can be both (a coordinator that
-	// also executes), though ddserve exposes them as distinct roles.
+	// GET /workerz) so this process serves as a cluster worker (ddserve
+	// -worker). A process can be both (a coordinator that also executes),
+	// though ddserve exposes them as distinct roles.
 	Worker *cluster.Worker
 }
 
@@ -233,7 +233,6 @@ func New(opt Options) *Server {
 	}
 	if opt.Worker != nil {
 		mux.HandleFunc("POST /cells", s.instrumented("/cells", opt.Worker.HandleCells))
-		mux.HandleFunc("POST /traces", s.instrumented("/traces", opt.Worker.HandleTraces))
 		mux.HandleFunc("GET /workerz", s.instrumented("/workerz", opt.Worker.HandleStatus))
 	}
 	s.mux = mux

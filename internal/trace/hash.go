@@ -83,9 +83,9 @@ func ContentHash(src Source) (uint64, int64, error) {
 	return hs.h, hs.n, nil
 }
 
-// Hash returns the buffer's content hash (ContentHash over its records;
+// Hash returns the buffer's content hash (its memoized ContentHash;
 // in-memory buffers cannot fail).
 func (b *Buffer) Hash() uint64 {
-	h, _, _ := ContentHash(b.Reader())
+	h, _, _ := b.ContentHash()
 	return h
 }

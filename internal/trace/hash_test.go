@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -124,5 +125,33 @@ func TestContentHashPropagatesStreamErrors(t *testing.T) {
 	boom := errors.New("stream died")
 	if _, _, err := ContentHash(&failingSource{n: 3, err: boom}); !errors.Is(err, boom) {
 		t.Fatalf("ContentHash err = %v, want %v", err, boom)
+	}
+}
+
+// TestBufferContentHashMemoized: concurrent first callers agree, a repeat
+// call does no pass (so allocates nothing), and an Append invalidates the
+// memo.
+func TestBufferContentHashMemoized(t *testing.T) {
+	b := hashTestBuffer(1000)
+	want, _, _ := ContentHash(b.Reader())
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if h, n, err := b.ContentHash(); h != want || n != 1000 || err != nil {
+				t.Errorf("ContentHash = %#x/%d/%v, want %#x/1000", h, n, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if allocs := testing.AllocsPerRun(10, func() { b.ContentHash() }); allocs != 0 {
+		t.Fatalf("repeat ContentHash allocates %v per call, want 0 (no pass)", allocs)
+	}
+
+	b.Append(*b.At(0))
+	after, _, _ := ContentHash(b.Reader())
+	if h, n, _ := b.ContentHash(); h != after || n != 1001 || h == want {
+		t.Fatalf("after Append: ContentHash = %#x/%d, want %#x/1001", h, n, after)
 	}
 }

@@ -4,8 +4,9 @@ package trace
 // the scheduler can re-open a trace as a fresh stream instead of sharing
 // one materialized Buffer. Three implementations cover the memory ladder:
 //
-//   - *Buffer: fully in memory — the right choice at small scales, and the
-//     only choice for traces that have no generator (shipped bytes);
+//   - *Buffer: fully in memory — the right choice whenever the trace fits
+//     (seed scales, a workload under its memory budget, generated test
+//     traces); its content hash is memoized after the first pass;
 //   - *Spool: on disk in the v3 binary format, written once during the
 //     first pass with the FNV content hash folded inline, then re-read
 //     with O(bufio) memory per open;
@@ -55,9 +56,25 @@ func CloseSource(src Source) {
 // Open implements Provider: a fresh reader over the buffer.
 func (b *Buffer) Open() (ErrSource, error) { return b.Reader(), nil }
 
-// ContentHash implements Provider (in-memory buffers cannot fail).
+// bufferHash is a Buffer's memoized content hash and the record count it
+// covers.
+type bufferHash struct {
+	hash uint64
+	n    int
+}
+
+// ContentHash implements Provider (in-memory buffers cannot fail). The
+// first call pays one pass; later calls answer from a memo that covers
+// the record count it hashed, so an Append since then invalidates it.
+// Concurrent callers are safe (the memo is swapped atomically); as with
+// every Buffer read, Append must not run concurrently.
 func (b *Buffer) ContentHash() (uint64, int64, error) {
-	return b.Hash(), int64(b.Len()), nil
+	if m := b.hashed.Load(); m != nil && m.n == b.n {
+		return m.hash, int64(m.n), nil
+	}
+	h, n, _ := ContentHash(b.Reader())
+	b.hashed.Store(&bufferHash{hash: h, n: int(n)})
+	return h, n, nil
 }
 
 // RegenProvider is a Provider that retains nothing: every Open re-runs a
@@ -92,9 +109,10 @@ func NewRegenProviderHashed(gen func() (ErrSource, error), hash uint64, records 
 func (p *RegenProvider) Open() (ErrSource, error) { return p.Gen() }
 
 // ContentHash implements Provider. The first call pays one generation run;
-// the result is memoized. Not safe for concurrent first use — callers that
-// share a RegenProvider across goroutines (the experiments runner) resolve
-// the hash once before fanning out.
+// the result is memoized. Not safe for concurrent first use — a
+// RegenProvider shared across goroutines must be built hashed
+// (NewRegenProviderHashed, as workloads.Provider does) or hashed once
+// before fanning out.
 func (p *RegenProvider) ContentHash() (uint64, int64, error) {
 	if p.hashed {
 		return p.hash, p.n, nil

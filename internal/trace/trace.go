@@ -10,7 +10,11 @@
 // the binary Writer/Reader pair provides a compact on-disk format.
 package trace
 
-import "repro/internal/isa"
+import (
+	"sync/atomic"
+
+	"repro/internal/isa"
+)
 
 // Record is one dynamically executed instruction.
 type Record struct {
@@ -77,6 +81,7 @@ const (
 type Buffer struct {
 	chunks [][]Record
 	n      int
+	hashed atomic.Pointer[bufferHash] // ContentHash memo
 }
 
 // Append adds a record to the buffer.
@@ -93,7 +98,8 @@ func (b *Buffer) Append(rec Record) {
 func (b *Buffer) Len() int { return b.n }
 
 // At returns a pointer to record i (0 <= i < Len). The pointer stays valid
-// across later Appends — chunks are never reallocated or moved.
+// across later Appends — chunks are never reallocated or moved. Writing
+// through it after ContentHash leaves the memoized hash stale.
 func (b *Buffer) At(i int) *Record {
 	return &b.chunks[i>>chunkShift][i&chunkMask]
 }

@@ -16,6 +16,7 @@
 package tracegen
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/isa"
@@ -130,6 +131,16 @@ func Profiles() []Profile {
 	alias.Records = 512
 
 	return []Profile{uniform, dense, sparse, zero, chain, crossBB, storm, flip, alias}
+}
+
+// ProfileByName resolves one of Profiles() by name.
+func ProfileByName(name string) (Profile, error) {
+	for _, p := range Profiles() {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return Profile{}, fmt.Errorf("tracegen: unknown profile %q", name)
 }
 
 // staticInstr is one synthetic static instruction plus its per-PC dynamic

@@ -343,7 +343,8 @@ func Trace(prog *isa.Program, opts ...Option) (*trace.Buffer, []int32, error) {
 	return &buf, m.Output, nil
 }
 
-// Exec executes prog and returns only its output; convenience for tests.
+// Exec executes prog and returns only its output (a WithSink option
+// observes the trace without materializing it).
 func Exec(prog *isa.Program, opts ...Option) ([]int32, error) {
 	m, err := New(prog, opts...)
 	if err != nil {

@@ -8,6 +8,7 @@ package workloads
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -100,7 +101,8 @@ func TestProviderEquivalence(t *testing.T) {
 
 // TestProviderSpoolReuse: a second Provider call over the same spool dir
 // must reuse the committed spool (validated, not regenerated) and report
-// the identical content identity.
+// the identical content identity. Flushing the memo in between makes the
+// second call open the spool from disk, as a later process would.
 func TestProviderSpoolReuse(t *testing.T) {
 	ctx := context.Background()
 	w, err := ByName("eqntott")
@@ -117,6 +119,7 @@ func TestProviderSpoolReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	FlushCache()
 	p2, err := w.Provider(ctx, scale, ProviderOptions{SpoolDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -130,5 +133,63 @@ func TestProviderSpoolReuse(t *testing.T) {
 	}
 	if p1.(*trace.Spool).Path() != p2.(*trace.Spool).Path() {
 		t.Fatalf("spool paths differ: %s vs %s", p1.(*trace.Spool).Path(), p2.(*trace.Spool).Path())
+	}
+}
+
+// TestProviderMemoOutlivesCallerContext: concurrent callers share one
+// memoized provider per (workload, scale, options), TraceCached reads the
+// same memo, and a memoized regenerator keeps working after the context of
+// the calls that created it is canceled.
+func TestProviderMemoOutlivesCallerContext(t *testing.T) {
+	w, err := ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := w.DefaultScale / 4
+	ctx, cancel := context.WithCancel(context.Background())
+	provs := make([]trace.Provider, 4)
+	var wg sync.WaitGroup
+	for i := range provs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p, err := w.Provider(ctx, scale, ProviderOptions{MaxMem: 1})
+			if err != nil {
+				t.Error(err)
+			}
+			provs[i] = p
+		}(i)
+	}
+	wg.Wait()
+	cancel()
+	regen := provs[0]
+	for i, p := range provs {
+		if p == nil || p != regen {
+			t.Fatalf("caller %d got provider %p, caller 0 got %p; want one memoized provider", i, p, regen)
+		}
+	}
+	again, err := w.Provider(context.Background(), scale, ProviderOptions{MaxMem: 1})
+	if err != nil || again != regen {
+		t.Fatalf("later Provider call = %p, %v; want the memoized %p", again, err, regen)
+	}
+	buf, _, err := w.TraceCached(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := w.Provider(ctx, scale, ProviderOptions{}); err != nil || p != trace.Provider(buf) {
+		t.Fatalf("Provider with zero options = %p, %v; want TraceCached's buffer %p", p, err, buf)
+	}
+
+	src, err := regen.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trace.CloseSource(src)
+	h, n, err := trace.ContentHash(src)
+	if err != nil {
+		t.Fatalf("regenerating after the creating context was canceled: %v", err)
+	}
+	if wh, wn, _ := buf.ContentHash(); h != wh || n != wn {
+		t.Fatalf("regenerated %#x/%d, buffer %#x/%d", h, n, wh, wn)
 	}
 }

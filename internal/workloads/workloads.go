@@ -24,14 +24,11 @@ package workloads
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/asm"
-	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/minic"
 	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
 // Workload is one benchmark program.
@@ -115,33 +112,11 @@ func (w *Workload) Run(scale int) (*trace.Buffer, []int32, error) {
 // RunCtx is Run with cancellation: the emulator polls ctx while executing,
 // so multi-hundred-million instruction traces stay interruptible.
 func (w *Workload) RunCtx(ctx context.Context, scale int) (*trace.Buffer, []int32, error) {
-	if faultinject.Enabled() {
-		if err := faultinject.Check(faultinject.PointTraceGen); err != nil {
-			return nil, nil, fmt.Errorf("workloads: generating %s trace: %w", w.Name, err)
-		}
-	}
-	prog, err := w.Build(scale)
+	prov, out, err := w.generate(ctx, scale, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	buf, out, err := vm.Trace(prog, vm.WithMaxSteps(1<<31), vm.WithContext(ctx))
-	if err != nil {
-		return nil, nil, fmt.Errorf("workloads: running %s: %w", w.Name, err)
-	}
-	return buf, out, nil
-}
-
-// Cached traces, shared by experiments and benchmarks: generating a trace
-// costs far more than replaying it.
-var (
-	cacheMu sync.Mutex
-	cache   = map[string]*cached{}
-)
-
-type cached struct {
-	buf *trace.Buffer
-	out []int32
-	err error
+	return prov.(*trace.Buffer), out, nil // an unbudgeted pass always buffers
 }
 
 // TraceCached returns the workload's trace at the given scale, generating
@@ -151,34 +126,24 @@ func (w *Workload) TraceCached(scale int) (*trace.Buffer, []int32, error) {
 	return w.TraceCachedCtx(context.Background(), scale)
 }
 
-// TraceCachedCtx is TraceCached with cancellation. Only successful
-// generations are cached: a canceled or fault-injected failure must not
-// poison later attempts.
+// TraceCachedCtx is TraceCached with cancellation. It reads Provider's
+// memo — the entry with zero ProviderOptions, which is always a Buffer —
+// so only successful generations are cached.
 func (w *Workload) TraceCachedCtx(ctx context.Context, scale int) (*trace.Buffer, []int32, error) {
-	if scale <= 0 {
-		scale = w.DefaultScale
+	e, err := w.memoized(ctx, scale, ProviderOptions{})
+	if err != nil {
+		return nil, nil, err
 	}
-	key := fmt.Sprintf("%s/%d", w.Name, scale)
-	cacheMu.Lock()
-	if c, ok := cache[key]; ok {
-		cacheMu.Unlock()
-		return c.buf, c.out, c.err
-	}
-	c := &cached{}
-	c.buf, c.out, c.err = w.RunCtx(ctx, scale)
-	if c.err == nil {
-		cache[key] = c
-	}
-	cacheMu.Unlock()
-	return c.buf, c.out, c.err
+	return e.prov.(*trace.Buffer), e.out, nil
 }
 
-// FlushCache drops every cached trace. Fault-injection tests use it to
-// force regeneration after poisoning or un-poisoning the generation path.
+// FlushCache drops every memoized trace, whatever its strategy.
+// Fault-injection tests use it to force regeneration after poisoning or
+// un-poisoning the generation path.
 func FlushCache() {
-	cacheMu.Lock()
-	cache = map[string]*cached{}
-	cacheMu.Unlock()
+	memoMu.Lock()
+	memo = map[memoKey]*memoEntry{}
+	memoMu.Unlock()
 }
 
 // lcg is the MiniC pseudo-random generator shared by all workloads.
