@@ -38,12 +38,12 @@ import (
 
 func main() {
 	var (
-		mixFlag   = flag.Bool("mix", false, "print the instruction-class mix of the dynamic trace")
-		maxSteps  = flag.Int64("maxsteps", 1<<30, "execution step limit")
-		timeout   = flag.Duration("timeout", 0, "bound the run's wall-clock time (0 = none)")
-		selfCheck = flag.Bool("selfcheck", false, "simulate the dynamic trace (config D, width 8) with scheduler invariant sweeps")
-		storeDir  = flag.String("store", "", "persist the -selfcheck result in this directory; later runs resume from it")
-		resume    = flag.Bool("resume", false, "require -store to already exist (catches typos before recomputing a sweep)")
+		mixFlag    = flag.Bool("mix", false, "print the instruction-class mix of the dynamic trace")
+		maxSteps   = flag.Int64("maxsteps", 1<<30, "execution step limit")
+		timeout    = flag.Duration("timeout", 0, "bound the run's wall-clock time (0 = none)")
+		selfCheck  = flag.Bool("selfcheck", false, "simulate the dynamic trace (config D, width 8) with scheduler invariant sweeps")
+		storeDir   = flag.String("store", "", "persist the -selfcheck result in this directory; later runs resume from it")
+		resume     = flag.Bool("resume", false, "require -store to already exist (catches typos before recomputing a sweep)")
 		retries    = flag.Int("retries", 0, "re-attempts after a transient -selfcheck failure")
 		stall      = flag.Duration("stall-timeout", 0, "reap the -selfcheck simulation after this much progress silence (0 = off)")
 		spoolDir   = flag.String("spool", "", "spool the dynamic trace to this directory instead of holding it in memory")

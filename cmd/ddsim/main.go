@@ -188,16 +188,9 @@ func runExperiments(ctx context.Context, id string, scale int, widthsArg string,
 		r.WithStoreHandle(st)
 		defer cli.ReportStore("ddsim", "", st)
 	}
-	progressed := false
-	r.OnCellDone = func(done int) {
-		progressed = true
-		fmt.Fprintf(os.Stderr, "\rddsim: %d simulation cell(s) completed ", done)
-	}
-	defer func() {
-		if progressed {
-			fmt.Fprintln(os.Stderr)
-		}
-	}()
+	progress, done := cli.CellProgress("ddsim")
+	r.OnCellDone = progress
+	defer done()
 	if widthsArg != "" {
 		for _, part := range strings.Split(widthsArg, ",") {
 			w, err := strconv.Atoi(strings.TrimSpace(part))

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -77,13 +78,56 @@ func ReportStore(tool, role string, st *store.Store) {
 // carriage-return rewrite per heartbeat, so CI logs stay readable.
 const nonTTYProgressEvery = 2 * time.Second
 
+// statusLine is the one status display behind Progress and CellProgress.
+// On a terminal it rewrites one line in place, clearing to end-of-line so
+// a render that shrinks never leaves stale trailing characters. When the
+// output is redirected (CI logs, pipes) it falls back to newline-terminated
+// lines at most once per nonTTYProgressEvery — \r-rewrites would smear
+// every update across the captured log — and end prints the latest
+// throttled line, so the log finishes on the final count. Writes are
+// serialized on mu: callers of render hold it, end takes it itself.
+type statusLine struct {
+	mu      sync.Mutex
+	w       io.Writer
+	tty     bool
+	now     func() time.Time
+	prevLen int       // length of the line on screen; 0 = none (TTY)
+	last    time.Time // when the last line was printed (non-TTY)
+	pending string    // latest line withheld by the throttle (non-TTY)
+}
+
+func (s *statusLine) render(line string) {
+	if s.tty {
+		// Pad over any leftover from a longer previous render.
+		fmt.Fprintf(s.w, "\r%s%s", line, strings.Repeat(" ", max(s.prevLen-len(line), 0)))
+		s.prevLen = len(line)
+		return
+	}
+	if t := s.now(); s.last.IsZero() || t.Sub(s.last) >= nonTTYProgressEvery {
+		s.last = t
+		s.pending = ""
+		fmt.Fprintln(s.w, line)
+		return
+	}
+	s.pending = line
+}
+
+// end terminates the display: call it once, after the last update.
+func (s *statusLine) end() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.tty && s.prevLen > 0:
+		fmt.Fprintln(s.w)
+	case !s.tty && s.pending != "":
+		fmt.Fprintln(s.w, s.pending)
+	}
+	s.prevLen, s.pending = 0, ""
+}
+
 // Progress returns a heartbeat printer that renders the instruction and
-// cycle counts to stderr, plus a done func that terminates the output
-// (call it once, after the run). On a terminal the printer rewrites one
-// line in place, clearing to end-of-line so a count that shrinks between
-// rewrites never leaves stale trailing characters. When stderr is
-// redirected (CI logs, pipes) it falls back to occasional full lines —
-// \r-rewrites would smear every heartbeat across the captured log.
+// cycle counts to stderr as a statusLine, plus a done func that terminates
+// the output (call it once, after the run).
 func Progress(tool string) (hook func(core.Progress), done func()) {
 	return progressTo(os.Stderr, stderrIsTTY(), tool, time.Now)
 }
@@ -91,33 +135,40 @@ func Progress(tool string) (hook func(core.Progress), done func()) {
 // progressTo is Progress with the writer, TTY-ness, and clock injected for
 // tests.
 func progressTo(w io.Writer, tty bool, tool string, now func() time.Time) (hook func(core.Progress), done func()) {
-	rewriting := false
-	prevLen := 0
-	var lastLine time.Time
+	s := &statusLine{w: w, tty: tty, now: now}
 	hook = func(p core.Progress) {
-		line := fmt.Sprintf("%s: %d instructions, %d cycles", tool, p.Records, p.Cycles)
-		if tty {
-			// Pad over any leftover from a longer previous render.
-			pad := prevLen - len(line)
-			if pad < 0 {
-				pad = 0
-			}
-			fmt.Fprintf(w, "\r%s%s", line, strings.Repeat(" ", pad))
-			prevLen = len(line)
-			rewriting = true
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.render(fmt.Sprintf("%s: %d instructions, %d cycles", tool, p.Records, p.Cycles))
+	}
+	return hook, s.end
+}
+
+// CellProgress returns a printer for experiments.Runner.OnCellDone that
+// renders the number of completed simulation cells to stderr as a
+// statusLine, plus a done func to call once after the sweep. The Runner's
+// workers call the printer concurrently and their counts can arrive out of
+// order, so a count at or below one already taken is dropped: the display
+// never goes backwards.
+func CellProgress(tool string) (hook func(done int), done func()) {
+	return cellProgressTo(os.Stderr, stderrIsTTY(), tool, time.Now)
+}
+
+// cellProgressTo is CellProgress with the writer, TTY-ness, and clock
+// injected for tests.
+func cellProgressTo(w io.Writer, tty bool, tool string, now func() time.Time) (hook func(int), done func()) {
+	s := &statusLine{w: w, tty: tty, now: now}
+	high := 0
+	hook = func(n int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if n <= high {
 			return
 		}
-		if t := now(); lastLine.IsZero() || t.Sub(lastLine) >= nonTTYProgressEvery {
-			lastLine = t
-			fmt.Fprintln(w, line)
-		}
+		high = n
+		s.render(fmt.Sprintf("%s: %d simulation cell(s) completed", tool, n))
 	}
-	done = func() {
-		if rewriting {
-			fmt.Fprintln(w)
-		}
-	}
-	return hook, done
+	return hook, s.end
 }
 
 // stderrIsTTY reports whether stderr is a character device (a terminal

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,5 +214,102 @@ func TestProgressNonTTYThrottlesFullLines(t *testing.T) {
 	}
 	if buf.Len() == 0 || strings.HasSuffix(out, "\n\n") {
 		t.Fatalf("done() must not add a newline in non-TTY mode: %q", out)
+	}
+}
+
+// cellCounts parses the counts out of rendered cell-progress lines, which
+// must all be well formed.
+func cellCounts(t *testing.T, lines []string) []int {
+	t.Helper()
+	var counts []int
+	for _, l := range lines {
+		var n int
+		if _, err := fmt.Sscanf(strings.TrimRight(l, " "), "tool: %d simulation cell(s) completed", &n); err != nil {
+			t.Fatalf("malformed cell progress line %q: %v", l, err)
+		}
+		counts = append(counts, n)
+	}
+	return counts
+}
+
+// driveCells calls hook the way experiments.Runner's workers call
+// OnCellDone: concurrently, each with the running total it just took.
+func driveCells(hook func(int), workers, perWorker int) int {
+	var total atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				hook(int(total.Add(1)))
+			}
+		}()
+	}
+	wg.Wait()
+	return int(total.Load())
+}
+
+func TestCellProgressTTYSerializedAndMonotone(t *testing.T) {
+	var buf bytes.Buffer
+	hook, done := cellProgressTo(&buf, true, "tool", time.Now)
+	total := driveCells(hook, 8, 50)
+	done()
+
+	out := buf.String()
+	if !strings.HasSuffix(out, "\n") || strings.Count(out, "\n") != 1 {
+		t.Fatalf("done() must end the rewritten line with exactly one newline: %q", out)
+	}
+	renders := strings.Split(strings.TrimSuffix(out, "\n"), "\r")
+	if renders[0] != "" {
+		t.Fatalf("output does not start with a \\r rewrite: %q", out)
+	}
+	renders = renders[1:]
+	counts := cellCounts(t, renders)
+	for i := 1; i < len(counts); i++ {
+		if counts[i] <= counts[i-1] {
+			t.Fatalf("count went from %d to %d: the display must never go backwards", counts[i-1], counts[i])
+		}
+		if len(renders[i]) < len(renders[i-1]) {
+			t.Fatalf("rewrite %q does not clear the previous render %q", renders[i], renders[i-1])
+		}
+	}
+	if last := counts[len(counts)-1]; last != total {
+		t.Fatalf("last count shown %d, want the total %d", last, total)
+	}
+}
+
+func TestCellProgressNonTTYThrottledEndsOnTotal(t *testing.T) {
+	var buf bytes.Buffer
+	clock := time.Unix(0, 0)
+	// Read under the display's lock only, so a plain variable is race-free:
+	// every rendered update is 100ms after the previous one.
+	now := func() time.Time {
+		clock = clock.Add(100 * time.Millisecond)
+		return clock
+	}
+	hook, done := cellProgressTo(&buf, false, "tool", now)
+	total := driveCells(hook, 8, 50)
+	done()
+
+	out := buf.String()
+	if strings.Contains(out, "\r") {
+		t.Fatalf("non-TTY cell progress used carriage returns: %q", out)
+	}
+	if !strings.HasSuffix(out, "\n") || strings.HasSuffix(out, "\n\n") {
+		t.Fatalf("non-TTY output must be whole lines with no blank line: %q", out)
+	}
+	counts := cellCounts(t, strings.Split(strings.TrimSuffix(out, "\n"), "\n"))
+	// At most one line per 2s of the injected clock, plus the final count.
+	if len(counts) > total/20+2 {
+		t.Fatalf("non-TTY printed %d lines for %d updates, want a throttled handful", len(counts), total)
+	}
+	for i := 1; i < len(counts); i++ {
+		if counts[i] <= counts[i-1] {
+			t.Fatalf("count went from %d to %d: the log must never go backwards", counts[i-1], counts[i])
+		}
+	}
+	if last := counts[len(counts)-1]; last != total {
+		t.Fatalf("log ends on count %d, want the total %d", last, total)
 	}
 }

@@ -59,7 +59,11 @@ const ctxCheckMask = 1<<10 - 1
 // a degraded but inspectable partial result; callers rendering it should
 // label it as partial. The error is nil iff the whole trace was scheduled.
 func RunChecked(ctx context.Context, src trace.Source, cfg Config, params Params) (*Result, error) {
-	s := newSched(cfg, params)
+	return newSched(cfg, params).run(ctx, src)
+}
+
+// run is RunChecked's loop over a scheduler the caller built.
+func (s *sched) run(ctx context.Context, src trace.Source) (*Result, error) {
 	done := ctx.Done()
 	nextCheck := int64(s.p.SelfCheckEvery)
 	nextProgress := s.p.ProgressEvery
@@ -142,29 +146,23 @@ func (s *sched) selfCheck() *InvariantError {
 		}
 	}
 
-	// Window occupancy can never exceed the window capacity.
-	if len(s.heap) > s.p.WindowSize {
-		return viol("window-occupancy", "window holds %d instructions, capacity %d", len(s.heap), s.p.WindowSize)
-	}
-	// The in-window issue-time heap must be a min-heap.
-	for i := 1; i < len(s.heap); i++ {
-		if parent := (i - 1) / 2; s.heap[parent] > s.heap[i] {
-			return viol("window-heap-order", "heap[%d]=%d > heap[%d]=%d", parent, s.heap[parent], i, s.heap[i])
-		}
-	}
-	// Window slots must free in monotone non-decreasing cycle order
-	// (detected eagerly in heapPop, reported here).
-	if s.heapMono != nil {
-		return s.heapMono
-	}
 	// No cycle may issue more instructions than the machine width. The
 	// issue ring keeps counts only for the live range [base, maxIssue] —
 	// dead cycles were validated by earlier sweeps before sliding out.
 	w := int32(s.p.Width)
+	inWindow := s.ties
 	for t := s.issue.base; t <= s.maxIssue; t++ {
-		if n := s.issue.at(t); n > w || n < 0 {
+		n := s.issue.at(t)
+		if n > w || n < 0 {
 			return viol("issue-bandwidth", "cycle %d issued %d instructions, width %d", t, n, s.p.Width)
 		}
+		inWindow += int64(n)
+	}
+	// The window holds exactly the last WindowSize instructions: the ties
+	// at the last freed cycle plus every issue at or above the ring's base.
+	if want := min(s.seq, int64(s.p.WindowSize)); s.ties < 0 || inWindow != want {
+		return viol("window-occupancy", "%d ties at cycle %d + ring counts over [%d, %d] = %d in window, want %d",
+			s.ties, s.issue.base-1, s.issue.base, s.maxIssue, inWindow, want)
 	}
 	// IPC is bounded by the issue width.
 	if s.maxIssue > 0 && s.res.Instructions > int64(s.p.Width)*s.maxIssue {

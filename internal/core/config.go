@@ -159,9 +159,9 @@ type Params struct {
 	// 0 means the default of 65536.
 	ProgressEvery int64
 
-	// SelfCheck makes RunChecked sweep the scheduler invariants (window
-	// occupancy, issue bandwidth, heap order and monotone completion, IPC
-	// bound, collapse-counter consistency) every SelfCheckEvery
+	// SelfCheck makes RunChecked sweep the scheduler invariants (issue
+	// bandwidth, the window-occupancy identity, IPC bound,
+	// collapse-counter consistency) every SelfCheckEvery
 	// instructions, failing the run with an *InvariantError on the first
 	// violation. Each sweep costs O(window + issued cycles); see
 	// docs/robustness.md.

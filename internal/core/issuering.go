@@ -16,8 +16,9 @@ import "math/bits"
 //     cycles below the frontier are dead: their counts can never be read
 //     or written again.
 //  2. The frontier is monotone non-decreasing (window slots free in
-//     non-decreasing cycle order — the "window-heap-monotone" invariant),
-//     so the live range only ever slides forward.
+//     non-decreasing cycle order: window entry always frees the earliest
+//     in-window issue, which the ring itself supplies — see
+//     (*sched).free), so the live range only ever slides forward.
 //
 // Counts live in a power-of-two slice indexed by cycle&mask. advance
 // slides the lower bound forward, zeroing the vacated slots so they are

@@ -61,14 +61,33 @@ type def struct {
 	nsrcs    int
 }
 
+// prodRef names a producer collapsed into a group: all commitGroup needs
+// of it is its dynamic index and its interned signature.
+type prodRef struct {
+	seq int64
+	sig collapse.SigID
+}
+
 // slotOption is one way to obtain a consumer operand: directly (producers
 // empty) or by collapsing through up to three instructions.
 type slotOption struct {
 	ready     int64
 	unit      collapse.Counts // per-use operand contribution when collapsed
 	collapsed bool            // false: plain use of the produced value
-	producers [3]srcSnap
+	producers [3]prodRef
 	nprod     int
+}
+
+// maxSlotOptions bounds the ways to obtain one operand: plain, pair-through,
+// and one deeper option per non-empty subset of the producer's (at most
+// two) own sources.
+const maxSlotOptions = 5
+
+// through starts o as a collapse through producer top alone: top's own
+// leaf operands contribute unit, and the option is ready at ready.
+func (o *slotOption) through(top prodRef, unit collapse.Counts, ready int64) {
+	o.ready, o.unit, o.collapsed = ready, unit, true
+	o.producers[0], o.nprod = top, 1
 }
 
 type sched struct {
@@ -82,12 +101,14 @@ type sched struct {
 
 	regs [isa.NumRegs]def
 
-	// Window occupancy: a min-heap of in-window issue times.
-	heap []int64
-
 	// Issue bandwidth accounting per cycle: a ring of per-cycle counts
 	// sliding with the window entry frontier (bounded memory, no hashing).
+	// The ring also holds the window: slots free in non-decreasing issue
+	// order and the last freed cycle is base-1, so every instruction issued
+	// at or above base is still in the window. The window is those ring
+	// counts over [base, maxIssue] plus ties instructions issued at base-1.
 	issue issueRing
+	ties  int64
 
 	// Misprediction barrier: no later instruction may issue at or before
 	// the mispredicted branch's issue cycle.
@@ -125,7 +146,8 @@ type sched struct {
 	// Scratch buffers reused across visits to keep the hot loop
 	// allocation-free.
 	readBuf []uint8
-	optBuf  [2][]slotOption
+	optBuf  [2][maxSlotOptions]slotOption
+	group   groupChoice
 
 	// Sparse fallback for the static-analysis cache: PCs beyond
 	// maxDenseInfos (possible only with corrupt or adversarial traces) go
@@ -134,13 +156,9 @@ type sched struct {
 	infoMap map[uint32]*collapse.Info
 
 	// err carries a failure raised mid-visit (e.g. an injected cache
-	// fault); RunChecked surfaces it after the visit completes.
+	// fault or a corrupt window); RunChecked surfaces it after the visit
+	// completes.
 	err error
-
-	// Self-check state: the last cycle popped off the window heap, for the
-	// monotone-completion invariant, and the first detected violation.
-	lastPop  int64
-	heapMono *InvariantError
 }
 
 // maxDenseInfos bounds the dense static-analysis cache; production traces
@@ -162,7 +180,6 @@ func newSched(cfg Config, params Params) *sched {
 		brc:       params.Branch,
 		addr:      params.Addr,
 		vals:      params.Value,
-		heap:      make([]int64, 0, params.WindowSize),
 		issue:     newIssueRing(ringSize),
 		stores:    make(map[uint32]int64, 1<<12),
 		ring:      make([]bool, ringSize),
@@ -209,56 +226,50 @@ func (s *sched) analyze(in *isa.Instr) *collapse.Info {
 	return &inf
 }
 
-// --- window heap ---------------------------------------------------------
+// --- window entry --------------------------------------------------------
 
-func (s *sched) heapPush(v int64) {
-	s.heap = append(s.heap, v)
-	i := len(s.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s.heap[parent] <= s.heap[i] {
-			break
-		}
-		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
-		i = parent
+// enter returns the cycle instruction seq enters the window and slides the
+// issue ring up to it. The window is kept full: once it holds WindowSize
+// instructions, a slot frees one cycle after the earliest in-window issue.
+// Nothing can issue below the entry frontier anymore, and the frontier is
+// monotone (every issue is at or after its own entry), so the ring's base
+// follows it.
+func (s *sched) enter(seq int64) int64 {
+	if seq < int64(s.p.WindowSize) {
+		return 1
 	}
+	entry := s.free() + 1
+	s.issue.advance(entry)
+	return entry
 }
 
-func (s *sched) heapPop() int64 {
-	top := s.heap[0]
-	if s.p.SelfCheck {
-		// Window slots must free in monotone non-decreasing cycle order:
-		// every push is at least the last popped entry cycle + 1.
-		if top < s.lastPop && s.heapMono == nil {
-			s.heapMono = &InvariantError{
-				Invariant: "window-heap-monotone",
-				Cycle:     s.maxIssue,
-				Seq:       s.seq,
-				Detail:    fmt.Sprintf("popped cycle %d after %d", top, s.lastPop),
-			}
-		}
-		s.lastPop = top
+// free releases the window slot of the earliest-issued in-window
+// instruction and returns its issue cycle. Ties left at the last freed
+// cycle (base-1) go first; then the first non-empty ring cycle at or above
+// base, whose other instructions become the new ties once advance slides
+// base past it. The cycles skipped are exactly those advance clears next,
+// so the scan is amortized O(1). A full window always holds an issued
+// instruction at or below maxIssue: running past it means the ring or the
+// tie count is corrupt, reported as a window-occupancy violation instead
+// of spinning.
+func (s *sched) free() int64 {
+	if s.ties > 0 {
+		s.ties--
+		return s.issue.base - 1
 	}
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && s.heap[l] < s.heap[small] {
-			small = l
+	for t := s.issue.base; t <= s.maxIssue; t++ {
+		if n := s.issue.counts[t&s.issue.mask]; n > 0 {
+			s.ties = int64(n) - 1
+			return t
 		}
-		if r < last && s.heap[r] < s.heap[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s.heap[i], s.heap[small] = s.heap[small], s.heap[i]
-		i = small
 	}
-	return top
+	s.err = &InvariantError{
+		Invariant: "window-occupancy",
+		Cycle:     s.maxIssue,
+		Seq:       s.seq,
+		Detail:    fmt.Sprintf("full window of %d has no instruction issued in [%d, %d]", s.p.WindowSize, s.issue.base-1, s.maxIssue),
+	}
+	return s.maxIssue
 }
 
 // slotted returns the first cycle >= t with spare issue bandwidth and
@@ -307,15 +318,7 @@ func (s *sched) visit(rec *trace.Record) {
 	in := &rec.Instr
 	inf := s.info(rec.PC, in)
 
-	// Window entry: the window is kept full; a slot frees one cycle after
-	// the earliest in-window issue.
-	entry := int64(1)
-	if len(s.heap) == s.p.WindowSize {
-		entry = s.heapPop() + 1
-	}
-	// The entry frontier is monotone (window-heap-monotone invariant), and
-	// nothing can issue below it anymore: slide the issue ring.
-	s.issue.advance(entry)
+	entry := s.enter(seq)
 	lower := max64(entry, s.barrier)
 
 	collapsing := s.cfg.Collapse && inf.Consumer
@@ -337,17 +340,17 @@ func (s *sched) visit(rec *trace.Record) {
 	}
 
 	// Collapsible operand readiness (with the chosen collapse group).
-	var group groupChoice
+	group := &s.group
 	if collapsing {
-		group = s.chooseGroup(inf, seq, entry)
+		s.chooseGroup(group, inf, seq, entry)
 	} else {
-		group = s.plainGroup(inf)
+		s.plainGroup(group, inf)
 	}
 
 	var issue int64
 	isLoad := in.Op == isa.Ld
 	if isLoad {
-		issue = s.scheduleLoad(rec, inf, seq, lower, plainReady, &group)
+		issue = s.scheduleLoad(rec, inf, seq, lower, plainReady, group)
 	} else {
 		issue = s.slotted(max64(lower, max64(plainReady, group.ready)))
 		if in.Op == isa.St {
@@ -356,7 +359,7 @@ func (s *sched) visit(rec *trace.Record) {
 				s.p.Cache.Access(rec.Addr) // write-allocate; no extra latency modeled
 			}
 		}
-		s.commitGroup(inf, seq, &group)
+		s.commitGroup(inf, seq, group)
 	}
 
 	// Conditional branches: realistic prediction; a misprediction bars all
@@ -373,8 +376,6 @@ func (s *sched) visit(rec *trace.Record) {
 			s.barrier = max64(s.barrier, issue+1)
 		}
 	}
-
-	s.heapPush(issue)
 
 	// Record the new register definition.
 	if w := in.Writes(); w >= 0 {
@@ -514,17 +515,17 @@ func (s *sched) scheduleLoad(rec *trace.Record, inf *collapse.Info, seq, lower, 
 type groupChoice struct {
 	ready     int64
 	counts    collapse.Counts
-	producers [3]srcSnap
+	producers [3]prodRef
 	nprod     int
 }
 
-// plainGroup computes operand readiness without collapsing.
-func (s *sched) plainGroup(inf *collapse.Info) groupChoice {
-	var g groupChoice
+// plainGroup fills g with the operand readiness without collapsing.
+func (s *sched) plainGroup(g *groupChoice, inf *collapse.Info) {
+	var ready int64
 	for _, r := range inf.Slots {
-		g.ready = max64(g.ready, s.regs[r].ready)
+		ready = max64(ready, s.regs[r].ready)
 	}
-	return g
+	*g = groupChoice{ready: ready}
 }
 
 // chooseGroup enumerates the collapse options for the consumer's slots and
@@ -537,7 +538,9 @@ func (s *sched) plainGroup(inf *collapse.Info) groupChoice {
 // recursive closure allocated itself and its captures on every visit. The
 // iteration order (slot 0 outer, slot 1 inner, options in slotOptions
 // order) matches the recursion exactly, preserving tie-breaks bit for bit.
-func (s *sched) chooseGroup(inf *collapse.Info, seq, entry int64) groupChoice {
+// The choice is written into g (the scheduler's scratch group), so no
+// group travels by value.
+func (s *sched) chooseGroup(g *groupChoice, inf *collapse.Info, seq, entry int64) {
 	// Distinct slot registers with multiplicities.
 	var slotRegs [2]uint8
 	var slotMult [2]int
@@ -560,14 +563,13 @@ func (s *sched) chooseGroup(inf *collapse.Info, seq, entry int64) groupChoice {
 
 	var opts [2][]slotOption
 	for i := 0; i < nslots; i++ {
-		opts[i] = s.slotOptions(s.optBuf[i][:0], slotRegs[i], seq, entry)
-		s.optBuf[i] = opts[i][:0]
+		opts[i] = s.optBuf[i][:s.slotOptions(&s.optBuf[i], slotRegs[i], seq, entry)]
 	}
 
-	best := groupChoice{ready: -1}
+	g.ready, g.nprod = -1, 0
 	switch nslots {
 	case 0:
-		s.consider(&best, 0, inf.Counts, nil, nil)
+		s.consider(g, 0, inf.Counts, nil, nil)
 	case 1:
 		for i := range opts[0] {
 			o := &opts[0][i]
@@ -575,7 +577,7 @@ func (s *sched) chooseGroup(inf *collapse.Info, seq, entry int64) groupChoice {
 			if o.collapsed {
 				c = c.ReplaceUses(slotMult[0], o.unit)
 			}
-			s.consider(&best, o.ready, c, o, nil)
+			s.consider(g, o.ready, c, o, nil)
 		}
 	default:
 		for i := range opts[0] {
@@ -593,14 +595,13 @@ func (s *sched) chooseGroup(inf *collapse.Info, seq, entry int64) groupChoice {
 				if o1.collapsed {
 					c = c.ReplaceUses(slotMult[1], o1.unit)
 				}
-				s.consider(&best, max64(o0.ready, o1.ready), c, o0, o1)
+				s.consider(g, max64(o0.ready, o1.ready), c, o0, o1)
 			}
 		}
 	}
-	if best.ready < 0 {
-		return s.plainGroup(inf)
+	if g.ready < 0 {
+		s.plainGroup(g, inf)
 	}
-	return best
 }
 
 // consider evaluates one fully chosen option combination (o1 may be nil,
@@ -640,39 +641,35 @@ func (s *sched) consider(best *groupChoice, ready int64, counts collapse.Counts,
 	best.nprod = n
 }
 
-// slotOptions appends the ways to obtain the operand in register r to opts.
-func (s *sched) slotOptions(opts []slotOption, r uint8, seq, entry int64) []slotOption {
+// slotOptions fills opts with the ways to obtain the operand in register r
+// and returns how many there are. Options are written in place, field by
+// field; producers past an option's nprod are stale and never read.
+func (s *sched) slotOptions(opts *[maxSlotOptions]slotOption, r uint8, seq, entry int64) int {
 	d := &s.regs[r]
-	opts = append(opts, slotOption{ready: d.ready}) // plain
+	plain := &opts[0]
+	plain.ready, plain.collapsed, plain.nprod = d.ready, false, 0
 
 	if !d.producer || !s.coresident(d.seq, d.issue, seq, entry) {
-		return opts
+		return 1
 	}
 	if s.cfg.ConsecutiveOnly && seq-d.seq != 1 {
-		return opts
+		return 1
 	}
-
-	top := srcSnap{
-		seq: d.seq, issue: d.issue, ready: d.ready,
-		srcReady: d.srcReady, counts: d.counts, producer: d.producer, sig: d.sig,
-	}
+	top := prodRef{seq: d.seq, sig: d.sig}
 
 	// Pair-through: wait for the producer's own sources instead.
-	pair := slotOption{ready: d.srcReady, unit: d.counts, collapsed: true}
-	pair.producers[0] = top
-	pair.nprod = 1
-	opts = append(opts, pair)
+	opts[1].through(top, d.counts, d.srcReady)
+	n := 2
 
 	if s.cfg.PairsOnly {
-		return opts
+		return n
 	}
 
 	// Deeper: additionally collapse through one or both of the producer's
 	// own producers (chain / tree triples and the zero-detection quads).
 	for mask := 1; mask < 1<<d.nsrcs; mask++ {
-		o := slotOption{unit: d.counts, collapsed: true}
-		o.producers[0] = top
-		o.nprod = 1
+		o := &opts[n]
+		o.through(top, d.counts, 0)
 		feasible := true
 		for k := 0; k < d.nsrcs; k++ {
 			src := &d.srcs[k]
@@ -680,11 +677,7 @@ func (s *sched) slotOptions(opts []slotOption, r uint8, seq, entry int64) []slot
 				o.ready = max64(o.ready, src.ready)
 				continue
 			}
-			if !src.producer || !s.coresident(src.seq, src.issue, seq, entry) {
-				feasible = false
-				break
-			}
-			if s.cfg.ConsecutiveOnly {
+			if !src.producer || !s.coresident(src.seq, src.issue, seq, entry) || s.cfg.ConsecutiveOnly {
 				feasible = false
 				break
 			}
@@ -693,14 +686,14 @@ func (s *sched) slotOptions(opts []slotOption, r uint8, seq, entry int64) []slot
 			// (a double use duplicates the sub-expression, as in the
 			// paper's Rc = Rb + Rb example).
 			o.unit = o.unit.ReplaceUses(src.uses, src.counts)
-			o.producers[o.nprod] = *src
+			o.producers[o.nprod] = prodRef{seq: src.seq, sig: src.sig}
 			o.nprod++
 		}
 		if feasible {
-			opts = append(opts, o)
+			n++
 		}
 	}
-	return opts
+	return n
 }
 
 // coresident reports whether the producer at pseq (issuing at pissue) and

@@ -37,16 +37,16 @@ var ErrPowerLoss = errors.New("faultfs: simulated power loss")
 // points 0..Steps() therefore replays a write sequence under every
 // possible crash instant. All behavior is deterministic per seed.
 type Sim struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
-	steps  int64
-	cutAt  int64 // -1 = never
-	down   bool
+	mu      sync.Mutex
+	rng     *rand.Rand
+	steps   int64
+	cutAt   int64 // -1 = never
+	down    bool
 	crashes int64
 
-	dirs   map[string]bool
-	files  map[string]*simFile
-	ghosts map[string]*simFile // durable entries hidden by an un-synced rename/remove
+	dirs     map[string]bool
+	files    map[string]*simFile
+	ghosts   map[string]*simFile // durable entries hidden by an un-synced rename/remove
 	nextTemp int
 }
 

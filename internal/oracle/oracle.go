@@ -5,17 +5,18 @@
 //
 // It exists to be diffed against the optimized scheduler in internal/core
 // (the differential conformance harness — see docs/testing.md). Everything
-// internal/core does with rings, heaps, interning, and scratch buffers, this
+// internal/core does with rings, interning, and scratch buffers, this
 // package does with plain maps, linear scans, recursion, and strings:
 //
 //   - issue-bandwidth accounting: a map from cycle to count (core: a
 //     power-of-two ring sliding with the window frontier);
 //   - the scheduling window: a plain slice with a linear minimum scan
-//     (core: a hand-rolled binary min-heap);
+//     (core: derived from the issue ring's per-cycle counts plus a count of
+//     ties left at the last freed cycle);
 //   - collapse signatures: Go strings and string-keyed maps everywhere
 //     (core: interned SigIDs packed into integer keys);
 //   - group choice: direct recursion over per-slot options (core: an
-//     iterative flattened enumeration over reused scratch buffers);
+//     iterative flattened enumeration over fixed scratch buffers);
 //   - instruction analysis and the stride predictor: re-derived from the
 //     DESIGN rules in this package (analyze.go, stride.go), sharing no code
 //     with internal/collapse or internal/stride.
@@ -95,8 +96,8 @@ type osched struct {
 
 	regs [isa.NumRegs]def
 
-	inWindow []int64         // issue cycles of in-window instructions
-	issued   map[int64]int   // cycle -> instructions issued that cycle
+	inWindow []int64          // issue cycles of in-window instructions
+	issued   map[int64]int    // cycle -> instructions issued that cycle
 	stores   map[uint32]int64 // word address -> cycle the store's result is done
 	infos    map[uint32]*info // static analysis, cached per PC
 	marked   map[int64]bool   // dynamic instructions already counted as collapsed

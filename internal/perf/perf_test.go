@@ -85,7 +85,7 @@ func TestCompareGate(t *testing.T) {
 		{Name: "removed", NsPerOp: 1, AllocsPerOp: 0},
 	})
 	got := NewReport([]Point{
-		{Name: "sched", NsPerOp: 1099, AllocsPerOp: 0},  // +9.9%: passes at 10%
+		{Name: "sched", NsPerOp: 1099, AllocsPerOp: 0},   // +9.9%: passes at 10%
 		{Name: "table1", NsPerOp: 2300, AllocsPerOp: 11}, // +15% ns/op AND +1 alloc
 		{Name: "brand-new", NsPerOp: 5000, AllocsPerOp: 99},
 	})

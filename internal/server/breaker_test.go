@@ -79,8 +79,8 @@ func res(cycles int64) *core.Result { return &core.Result{Cycles: cycles, Instru
 // fakeClock drives the breaker's injectable clock.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time              { return c.t }
-func (c *fakeClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newTestBreaker(inner *stubStore, threshold int, cooldown time.Duration) (*Breaker, *fakeClock) {
 	b := NewBreaker(inner, threshold, cooldown)
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}

@@ -22,9 +22,9 @@ const (
 
 // Problem is one defective file found by Verify.
 type Problem struct {
-	File   string `json:"file"`   // name relative to the store root
-	Class  string `json:"class"`  // ProblemIO | ProblemDecode | ProblemMisplaced
-	Detail string `json:"detail"` // human-readable cause
+	File   string `json:"file"`          // name relative to the store root
+	Class  string `json:"class"`         // ProblemIO | ProblemDecode | ProblemMisplaced
+	Detail string `json:"detail"`        // human-readable cause
 	Key    *Key   `json:"key,omitempty"` // envelope key, when the entry parsed far enough to yield one
 }
 

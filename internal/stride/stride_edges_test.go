@@ -87,7 +87,7 @@ func TestConfidenceTrajectoryTable(t *testing.T) {
 				{addr: 100},
 				{addr: 100, wantCorrect: true, wantConfident: true}, // conf 0+3 = 3
 				{addr: 100, wantCorrect: true, wantConfident: true}, // clamp at 3
-				{addr: 900, wantConfident: true}, // miss: 3-1 = 2, still confident
+				{addr: 900, wantConfident: true},                    // miss: 3-1 = 2, still confident
 			},
 		},
 	}
