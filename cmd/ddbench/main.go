@@ -22,8 +22,12 @@
 //     scheduler through the bounded pipe, nothing materialized. Guards the
 //     producer/consumer overlap the trace plane's memory bound depends on.
 //
+// A baseline gates only the toolchain it was measured with: when its
+// go_version and this build's differ in major.minor, ddbench exits 2
+// before measuring.
+//
 // Exit codes: 0 ok (no regressions), 1 regression or benchmark failure,
-// 2 usage.
+// 2 usage or a baseline from another toolchain.
 package main
 
 import (
@@ -31,6 +35,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -52,13 +58,36 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: ddbench [-out f] [-baseline f] [-threshold x] [-scale n]")
 		os.Exit(2)
 	}
-	if err := run(*out, *baseline, *threshold, *scale); err != nil {
+	var base *perf.Report
+	if *baseline != "" {
+		b, err := perf.ReadFile(*baseline)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
+			os.Exit(1)
+		}
+		if goMinor(b.GoVersion) != goMinor(runtime.Version()) {
+			fmt.Fprintf(os.Stderr, "ddbench: %s was measured with %q, this build is %s: "+
+				"budgets do not carry across Go releases\n", *baseline, b.GoVersion, runtime.Version())
+			os.Exit(2)
+		}
+		base = &b
+	}
+	if err := run(*out, *baseline, base, *threshold, *scale); err != nil {
 		fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, baseline string, threshold float64, scale int) error {
+// goMinor cuts a Go version down to its major.minor ("go1.24.0" ->
+// "go1.24").
+func goMinor(v string) string {
+	if f := strings.SplitN(v, ".", 3); len(f) == 3 {
+		return f[0] + "." + f[1]
+	}
+	return v
+}
+
+func run(out, baseline string, base *perf.Report, threshold float64, scale int) error {
 	points, err := measure(scale)
 	if err != nil {
 		return err
@@ -77,14 +106,10 @@ func run(out, baseline string, threshold float64, scale int) error {
 		}
 		fmt.Printf("wrote %s\n", out)
 	}
-	if baseline == "" {
+	if base == nil {
 		return nil
 	}
-	base, err := perf.ReadFile(baseline)
-	if err != nil {
-		return err
-	}
-	regs := perf.Compare(base, rep, threshold)
+	regs := perf.Compare(*base, rep, threshold)
 	if len(regs) == 0 {
 		fmt.Printf("gate ok: no regressions against %s (threshold %+.0f%% ns/op, 0 new allocs)\n",
 			baseline, 100*threshold)

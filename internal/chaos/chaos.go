@@ -197,7 +197,7 @@ func armFaults(kind int, rng *rand.Rand) (wantStore bool) {
 	switch kind {
 	case faultTransient:
 		// Errors at the cell entry point: persistent or one-shot, after a
-		// few clean passes. Jobs fail with KindSim (or succeed after a
+		// few clean passes. Jobs fail with the sim kind (or succeed after a
 		// retry) — but always terminate.
 		after := int64(rng.Intn(4))
 		if rng.Intn(2) == 0 {
@@ -207,7 +207,7 @@ func armFaults(kind int, rng *rand.Rand) (wantStore bool) {
 		}
 	case faultPanic:
 		// Every cell compute panics. The process must survive: panics are
-		// isolated into KindPanic and repeat offenders quarantined.
+		// isolated into the panic kind and repeat offenders quarantined.
 		faultinject.ArmFunc(faultinject.PointCoreRun, func() error {
 			panic("chaos: injected cell panic")
 		}, int64(rng.Intn(3)))
@@ -322,7 +322,7 @@ func runSchedule(i, kind int, opt Options, sum *Summary) (violations []string) {
 					if job.Error == nil || job.Error.Kind == "" {
 						violations = append(violations, id+": failed without a structured error")
 					} else {
-						sum.FailKinds[job.Error.Kind]++
+						sum.FailKinds[string(job.Error.Kind)]++
 					}
 				default:
 					violations = append(violations, id+": canceled before any drain began")

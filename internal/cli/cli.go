@@ -19,7 +19,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/trace"
+	"repro/internal/failure"
 )
 
 // Exit codes for the three tools.
@@ -43,11 +43,9 @@ func Usagef(format string, args ...any) error {
 	return &usageError{fmt.Errorf(format, args...)}
 }
 
-// Canceled reports whether err stems from context cancellation or a
-// deadline (SIGINT/SIGTERM or -timeout).
-func Canceled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
+// Canceled reports whether err stems from a context that ended
+// (SIGINT/SIGTERM or -timeout): the pipeline's one such check.
+var Canceled = failure.Ended
 
 // Code classifies err into the exit-code contract above.
 func Code(err error) int {
@@ -59,7 +57,7 @@ func Code(err error) int {
 		return ExitUsage
 	case Canceled(err):
 		return ExitCanceled
-	case trace.IsCorrupt(err):
+	case failure.Of(err) == failure.Corrupt:
 		return ExitCorrupt
 	default:
 		return ExitSim

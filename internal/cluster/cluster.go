@@ -47,6 +47,7 @@ import (
 	"net/http"
 
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 	"repro/internal/workloads"
@@ -156,8 +157,8 @@ type CellOutcome struct {
 	// byte-stable.
 	Result json.RawMessage `json:"result,omitempty"`
 	// Error is the structured failure, classified into the pipeline
-	// taxonomy worker-side so the coordinator can branch on Kind.
-	Error *RemoteError `json:"error,omitempty"`
+	// taxonomy worker-side so the coordinator can branch on its kind.
+	Error *failure.Error `json:"error,omitempty"`
 	// FromStore reports the result was served from the worker's durable
 	// store rather than computed.
 	FromStore bool `json:"from_store,omitempty"`
@@ -166,63 +167,6 @@ type CellOutcome struct {
 // batchResponse is the POST /cells response: outcomes[i] answers cells[i].
 type batchResponse struct {
 	Outcomes []CellOutcome `json:"outcomes"`
-}
-
-// RemoteError kinds — the same taxonomy the serving layer's JobError uses,
-// so a remote failure classifies identically to a local one.
-const (
-	KindCorrupt   = "corrupt"   // corrupt trace or store input (permanent)
-	KindInvariant = "invariant" // scheduler self-check failed (permanent)
-	KindDeadline  = "deadline"  // the cell overran its deadline (permanent)
-	KindPanic     = "panic"     // the cell panicked worker-side
-	KindCanceled  = "canceled"  // the request was canceled (hedge loser, shutdown)
-	KindSim       = "sim"       // any other simulation failure (transient)
-	KindInvalid   = "invalid"   // malformed cell spec (permanent: re-sending cannot fix it)
-)
-
-// RemoteError is a worker-side cell failure carried back to the
-// coordinator. It implements the retry package's Permanent marker so the
-// coordinator's (and runner's) taxonomy-aware retry treats remote failures
-// exactly like local ones: deterministic failures are never re-dispatched.
-type RemoteError struct {
-	Kind    string `json:"kind"`
-	Message string `json:"message"`
-}
-
-// Error implements error.
-func (e *RemoteError) Error() string {
-	return fmt.Sprintf("cluster: remote %s: %s", e.Kind, e.Message)
-}
-
-// Permanent reports whether re-executing the cell would deterministically
-// fail again (retry.Classify consumes this via its marker interface).
-func (e *RemoteError) Permanent() bool {
-	switch e.Kind {
-	case KindCorrupt, KindInvariant, KindDeadline, KindInvalid:
-		return true
-	}
-	return false
-}
-
-// classifyRemote maps a worker-side execution error onto the wire taxonomy.
-// It mirrors the serving layer's classifier without importing it (the
-// server imports this package, not the reverse).
-func classifyRemote(err error) *RemoteError {
-	if err == nil {
-		return nil
-	}
-	var inv *core.InvariantError
-	switch {
-	case errors.As(err, &inv):
-		return &RemoteError{Kind: KindInvariant, Message: err.Error()}
-	case errors.Is(err, context.DeadlineExceeded):
-		return &RemoteError{Kind: KindDeadline, Message: err.Error()}
-	case errors.Is(err, context.Canceled):
-		return &RemoteError{Kind: KindCanceled, Message: err.Error()}
-	case trace.IsCorrupt(err):
-		return &RemoteError{Kind: KindCorrupt, Message: err.Error()}
-	}
-	return &RemoteError{Kind: KindSim, Message: err.Error()}
 }
 
 // marshalResult serializes a result for the wire — the same plain JSON

@@ -8,15 +8,19 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/failure"
+	"repro/internal/faultinject"
 	"repro/internal/workloads"
 )
 
@@ -307,12 +311,15 @@ func TestPermanentRemoteErrorSurfacesWithoutRetryOrFallback(t *testing.T) {
 
 	w := mustWorkload(t, "compress")
 	_, err = coord.ExecuteCell(context.Background(), w, mustConfig(t, "A"), 4, testScale, false)
-	re, ok := err.(*RemoteError)
+	re, ok := err.(*failure.Error)
 	if !ok {
-		t.Fatalf("want *RemoteError, got %T: %v", err, err)
+		t.Fatalf("want *failure.Error, got %T: %v", err, err)
 	}
-	if re.Kind != KindInvariant || !re.Permanent() {
-		t.Fatalf("want permanent invariant error, got kind %q", re.Kind)
+	if re.Kind != failure.Invariant || failure.Of(err) != failure.Invariant {
+		t.Fatalf("want the invariant kind, got %q", re.Kind)
+	}
+	if err.Error() != "scoreboard out of sync" {
+		t.Fatalf("remote error renders %q, want the worker's message alone", err.Error())
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("permanent failure was dispatched %d times, want 1", n)
@@ -354,5 +361,93 @@ func TestRunnerWithExecutorRendersIdenticalReport(t *testing.T) {
 	}
 	if computed := wk.cells.With("computed").Value(); computed == 0 {
 		t.Fatal("remote runner computed nothing on the worker")
+	}
+
+	// A degraded report too: an invariant violation injected into the first
+	// cell each runner simulates (one worker each, so the same cell) must
+	// render the same bytes, failure summary included, wherever it ran.
+	defer faultinject.Reset()
+	perBench := func(r *experiments.Runner) string {
+		faultinject.ArmOnceFunc(faultinject.PointCoreRun, func() error {
+			return &core.InvariantError{Invariant: "injected", Detail: "conformance"}
+		}, 0)
+		rep, err := experiments.PerBenchmarkReport(r.WithWorkers(1), 4)
+		if err != nil {
+			t.Fatalf("PerBenchmarkReport: %v", err)
+		}
+		if len(rep.Errs) != 1 || failure.Of(rep.Errs[0]) != failure.Invariant {
+			t.Fatalf("want one invariant failure, got %v", rep.Errs)
+		}
+		return rep.Text
+	}
+	lt := perBench(experiments.NewRunner(testScale))
+	rt := perBench(experiments.NewRunner(testScale).WithExecutor(coord))
+	if lt != rt {
+		t.Fatalf("degraded reports diverge:\n--- local ---\n%s\n--- remote ---\n%s", lt, rt)
+	}
+	if strings.Count(lt, failure.Invariant.Cell()) != 1 {
+		t.Fatalf("want exactly one %q cell:\n%s", failure.Invariant.Cell(), lt)
+	}
+}
+
+// TestPanickingCellRunsOnceThroughCluster: a cell that panics wherever it
+// runs is a permanent failure like any other. Through three workers it
+// runs once, is neither re-dispatched nor run by the local fallback, and
+// comes back to the caller with the panic kind.
+func TestPanickingCellRunsOnceThroughCluster(t *testing.T) {
+	var urls []string
+	for i := 0; i < 3; i++ {
+		ts := httptest.NewServer(NewWorker(WorkerOptions{}).Handler())
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+	coord, err := New(urls, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	defer faultinject.Reset()
+	faultinject.ArmFunc(faultinject.PointCoreRun, func() error { panic("injected cell panic") }, 0)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic escaped ExecuteCell: %v", r)
+			}
+		}()
+		_, err = coord.ExecuteCell(context.Background(), mustWorkload(t, "compress"), mustConfig(t, "A"), 4, testScale, false)
+	}()
+	if k := failure.Of(err); k != failure.Panic {
+		t.Errorf("kind %q (%v), want %q", k, err, failure.Panic)
+	}
+	if n := faultinject.Fired(faultinject.PointCoreRun); n != 1 {
+		t.Errorf("the cell ran %d times, want 1", n)
+	}
+	if n := coord.retriesCtr.Value(); n != 0 {
+		t.Errorf("cluster_retries_total = %d, want 0", n)
+	}
+	if n := coord.fallbacks.Value(); n != 0 {
+		t.Errorf("cluster_local_fallback_total = %d, want 0", n)
+	}
+
+	// With no worker reachable the local fallback runs the cell, and its
+	// panic comes back the same way instead of escaping ExecuteCell.
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	lone, err := New([]string{dead.URL}, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lone.Close()
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic escaped the local fallback: %v", r)
+			}
+		}()
+		_, err = lone.ExecuteCell(context.Background(), mustWorkload(t, "compress"), mustConfig(t, "A"), 4, testScale, false)
+	}()
+	if k := failure.Of(err); k != failure.Panic || lone.fallbacks.Value() != 1 {
+		t.Errorf("fallback: kind %q (%v), %d fallbacks; want %q after one", k, err, lone.fallbacks.Value(), failure.Panic)
 	}
 }

@@ -30,8 +30,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/metrics"
 	"repro/internal/trace"
+	"repro/internal/watchdog"
 	"repro/internal/workloads"
 )
 
@@ -332,13 +334,17 @@ func (c *Coordinator) execute(ctx context.Context, spec CellSpec) (*core.Result,
 			break
 		}
 		out, err := c.sendCellHedged(ctx, target, spec)
-		switch {
-		case err == nil && out.Error == nil:
-			return unmarshalResult(out.Result)
-		case err == nil && out.Error.Permanent():
-			// Deterministic failure: local execution would fail the same
-			// way. Surface it to the runner's taxonomy unchanged.
-			return nil, out.Error
+		if err == nil {
+			if out.Error == nil {
+				return unmarshalResult(out.Result)
+			}
+			// A permanent kind would fail the same way anywhere: surface
+			// it to the runner unchanged. The one exception is a
+			// worker-side cancellation (the worker's request ended, not
+			// ours — ctx is checked above), which moves to a peer.
+			if k := out.Error.Kind; k.Permanent() && k != failure.Canceled {
+				return nil, out.Error
+			}
 		}
 		// A transport failure (health already observed inside the
 		// batcher) or a transient remote one — a worker that cannot
@@ -398,16 +404,19 @@ func (c *Coordinator) hedgePick(primary string) string {
 }
 
 // localFallback executes the cell in-process — the transparent degradation
-// path when the cluster cannot help.
+// path when the cluster cannot help. A panic returns as a
+// *watchdog.PanicError, as it does in a local Runner and on a worker.
 func (c *Coordinator) localFallback(ctx context.Context, prov trace.Provider, spec CellSpec) (*core.Result, error) {
 	c.fallbacks.Inc()
-	src, err := prov.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer trace.CloseSource(src)
-	return core.RunChecked(ctx, src, spec.Config,
-		core.Params{Width: spec.Width, WindowSize: spec.Window, SelfCheck: spec.SelfCheck})
+	return watchdog.Run(ctx, 0, func(ctx context.Context, _ func()) (*core.Result, error) {
+		src, err := prov.Open()
+		if err != nil {
+			return nil, err
+		}
+		defer trace.CloseSource(src)
+		return core.RunChecked(ctx, src, spec.Config,
+			core.Params{Width: spec.Width, WindowSize: spec.Window, SelfCheck: spec.SelfCheck})
+	})
 }
 
 // ---------------------------------------------------------------------------

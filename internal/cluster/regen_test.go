@@ -13,6 +13,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/failure"
 )
 
 // TestWorkerRegeneratesFromSpec: a default worker regenerates the trace
@@ -219,8 +221,8 @@ func TestSpecNamesExactlyOneGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, out := range outs {
-		if out.Error == nil || out.Error.Kind != KindInvalid || !out.Error.Permanent() {
-			t.Errorf("cell %d: outcome %+v, want a permanent %q error", i, out, KindInvalid)
+		if out.Error == nil || out.Error.Kind != failure.Invalid || !out.Error.Kind.Permanent() {
+			t.Errorf("cell %d: outcome %+v, want a permanent %q error", i, out, failure.Invalid)
 		}
 	}
 	if n := wk.regens.Value(); n != 0 {

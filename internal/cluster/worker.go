@@ -21,9 +21,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/trace"
+	"repro/internal/watchdog"
 	"repro/internal/workloads"
 )
 
@@ -165,32 +167,31 @@ func (w *Worker) HandleCells(rw http.ResponseWriter, r *http.Request) {
 
 // executeCell resolves one cell: validation, store lookup, trace
 // regeneration, then simulation on the concurrency budget. Panics are
-// isolated into KindPanic outcomes — one poisoned cell must never take the
-// worker down.
+// isolated into panic-kind outcomes, worded as the local watchdog words
+// them — one poisoned cell must never take the worker down.
 func (w *Worker) executeCell(r *http.Request, spec CellSpec) (out CellOutcome) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			w.cells.With("failed").Inc()
-			out = CellOutcome{Error: &RemoteError{Kind: KindPanic,
-				Message: fmt.Sprintf("cell panicked worker-side: %v", rec)}}
+			out = CellOutcome{Error: failure.From(&watchdog.PanicError{Value: rec})}
 		}
 	}()
-	fail := func(kind, msg string) CellOutcome {
+	fail := func(kind failure.Kind, msg string) CellOutcome {
 		w.cells.With("failed").Inc()
-		return CellOutcome{Error: &RemoteError{Kind: kind, Message: msg}}
+		return CellOutcome{Error: &failure.Error{Kind: kind, Message: msg}}
 	}
 	h, err := spec.hash()
 	if err != nil {
-		return fail(KindInvalid, err.Error())
+		return fail(failure.Invalid, err.Error())
 	}
 	if err := spec.checkGenerator(); err != nil {
-		return fail(KindInvalid, err.Error())
+		return fail(failure.Invalid, err.Error())
 	}
 	if spec.Width < 1 || spec.Width > 4096 {
-		return fail(KindInvalid, fmt.Sprintf("width %d out of range [1, 4096]", spec.Width))
+		return fail(failure.Invalid, fmt.Sprintf("width %d out of range [1, 4096]", spec.Width))
 	}
 	if spec.Scale < 1 {
-		return fail(KindInvalid, fmt.Sprintf("scale %d < 1 (the coordinator normalizes scale)", spec.Scale))
+		return fail(failure.Invalid, fmt.Sprintf("scale %d < 1 (the coordinator normalizes scale)", spec.Scale))
 	}
 	key := store.Key{Trace: h, Config: spec.Config.Fingerprint(), Width: spec.Width,
 		Scale: spec.Scale, Window: spec.Window, Checked: spec.SelfCheck, Workload: spec.Workload}
@@ -209,11 +210,11 @@ func (w *Worker) executeCell(r *http.Request, spec CellSpec) (out CellOutcome) {
 	prov, err := w.reproduce(ctx, spec, h)
 	if err != nil {
 		if ctx.Err() != nil {
-			return fail(KindCanceled, err.Error())
+			return fail(failure.Canceled, err.Error())
 		}
 		// Not permanent: a peer (or the coordinator's local fallback) may
 		// still reproduce the trace.
-		return fail(KindSim, "cannot reproduce trace: "+err.Error())
+		return fail(failure.Sim, "cannot reproduce trace: "+err.Error())
 	}
 
 	// The concurrency budget bounds simultaneous simulations across every
@@ -223,25 +224,24 @@ func (w *Worker) executeCell(r *http.Request, spec CellSpec) (out CellOutcome) {
 	case w.sem <- struct{}{}:
 		defer func() { <-w.sem }()
 	case <-ctx.Done():
-		return fail(KindCanceled, ctx.Err().Error())
+		return fail(failure.Canceled, ctx.Err().Error())
 	}
 	src, err := prov.Open()
 	if err != nil {
-		return fail(KindSim, "opening trace: "+err.Error())
+		return fail(failure.Sim, "opening trace: "+err.Error())
 	}
 	defer trace.CloseSource(src)
 	start := time.Now()
 	res, err := core.RunChecked(ctx, src, spec.Config,
 		core.Params{Width: spec.Width, WindowSize: spec.Window, SelfCheck: spec.SelfCheck})
 	if err != nil {
-		re := classifyRemote(err)
 		w.cells.With("failed").Inc()
-		return CellOutcome{Error: re}
+		return CellOutcome{Error: failure.From(err)}
 	}
 	w.cellSeconds.Observe(time.Since(start).Seconds())
 	data, err := marshalResult(res)
 	if err != nil {
-		return fail(KindSim, "encoding result: "+err.Error())
+		return fail(failure.Sim, "encoding result: "+err.Error())
 	}
 	if w.opt.Store != nil {
 		// Best-effort persistence, same contract as the runner's: a failed

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -27,11 +28,10 @@ func (e *InvariantError) Error() string {
 		e.Invariant, e.Cycle, e.Seq, e.Detail)
 }
 
-// Permanent reports that an invariant violation is never worth retrying:
-// the scheduler is deterministic, so the same trace and configuration will
-// violate the same invariant again. internal/retry consults this marker
-// when classifying cell failures.
-func (e *InvariantError) Permanent() bool { return true }
+// FailureKind declares the invariant kind, which is permanent: the
+// scheduler is deterministic, so the same trace and configuration will
+// violate the same invariant again.
+func (e *InvariantError) FailureKind() failure.Kind { return failure.Invariant }
 
 // ctxCheckMask throttles context polls to one per 1024 instructions, which
 // bounds cancellation latency to microseconds without measurable cost on

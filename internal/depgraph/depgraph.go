@@ -30,6 +30,10 @@ type Options struct {
 type Report struct {
 	Instructions int64
 	CriticalPath int64 // cycles along the longest dependence chain
+	// LatestStart is the latest cycle any instruction may start at. An
+	// unbounded scheduler (config A, width = window > trace length)
+	// issues its last instruction there, so its Cycles is LatestStart+1.
+	LatestStart int64
 
 	// One longest path, characterized: how many instructions lie on it and
 	// their class mix. When several paths tie, an arbitrary one is used.
@@ -113,6 +117,7 @@ func Analyze(src trace.Source, opts Options) *Report {
 			parent = barIdx
 		}
 
+		rep.LatestStart = max(rep.LatestStart, start)
 		finish := start + int64(isa.Latency(in.Op))
 		nodes = append(nodes, nodeRef{finish: finish, parent: parent})
 		classes = append(classes, in.Class())

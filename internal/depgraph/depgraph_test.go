@@ -1,10 +1,15 @@
 package depgraph
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/trace"
+	"repro/internal/tracegen"
+	"repro/internal/workloads"
 )
 
 func rec(pc uint32, in isa.Instr) trace.Record { return trace.Record{PC: pc, Instr: in} }
@@ -171,5 +176,47 @@ func TestR0NeverCreatesDependence(t *testing.T) {
 	r := Analyze(b.Reader(), Options{})
 	if r.CriticalPath != 1 {
 		t.Errorf("critical path = %d, want 1 (no dependence through r0)", r.CriticalPath)
+	}
+}
+
+// TestUnboundedSchedulerMeetsDataflowLimit pins the identity that ties the
+// scheduler to the dataflow limit: config A at width = window = trace
+// length + 1 leaves no resource constraint, so core issues its last
+// instruction at LatestStart and reports LatestStart+1 cycles. It holds
+// under perfect and real branches, on every tracegen profile (three seeds
+// each) and on the six workloads at 1/20 of their default scale.
+func TestUnboundedSchedulerMeetsDataflowLimit(t *testing.T) {
+	type named struct {
+		name string
+		buf  *trace.Buffer
+	}
+	var traces []named
+	for _, p := range tracegen.Profiles() {
+		for seed := int64(1); seed <= 3; seed++ {
+			traces = append(traces, named{fmt.Sprintf("%s/seed%d", p.Name, seed), trace.Drain(tracegen.NewStream(seed, p))})
+		}
+	}
+	for _, w := range workloads.All() {
+		buf, _, err := w.TraceCached(max(1, w.DefaultScale/20))
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		traces = append(traces, named{w.Name, buf})
+	}
+	for _, tr := range traces {
+		n := int(tr.buf.Len()) + 1
+		for _, real := range []bool{false, true} {
+			cfg := core.ConfigA
+			cfg.PerfectBranches = !real
+			res, err := core.RunChecked(context.Background(), tr.buf.Reader(), cfg, core.Params{Width: n, WindowSize: n})
+			if err != nil {
+				t.Fatalf("%s: %v", tr.name, err)
+			}
+			rep := Analyze(tr.buf.Reader(), Options{RealBranches: real})
+			if res.Cycles != rep.LatestStart+1 {
+				t.Errorf("%s, real branches %t: core %d cycles, dataflow limit latest start %d + 1",
+					tr.name, real, res.Cycles, rep.LatestStart)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/workloads"
 )
@@ -36,7 +37,7 @@ func TestCellDeadlineDegradesOneCell(t *testing.T) {
 	if !errors.Is(err, ErrCellDeadline) {
 		t.Fatalf("err = %v, want ErrCellDeadline", err)
 	}
-	if canceled(err) {
+	if failure.Ended(err) {
 		t.Fatalf("cell deadline misclassified as sweep cancellation: %v", err)
 	}
 	if strings.Contains(err.Error(), "attempts") {
@@ -115,7 +116,7 @@ func TestResultCtxDeadlineIsNotCached(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	if _, err := r.ResultCtx(ctx, w, core.ConfigA, 4); !canceled(err) {
+	if _, err := r.ResultCtx(ctx, w, core.ConfigA, 4); !failure.Ended(err) {
 		t.Fatalf("expired caller context: err = %v, want cancellation", err)
 	}
 	if _, err := r.ResultCtx(context.Background(), w, core.ConfigA, 4); err != nil {

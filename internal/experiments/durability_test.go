@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/store"
 	"repro/internal/watchdog"
@@ -50,7 +51,7 @@ func TestCrashResumeFromStore(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := FigureIPC(r1, "figure2", set); !canceled(err) {
+	if _, err := FigureIPC(r1, "figure2", set); !failure.Ended(err) {
 		t.Fatalf("interrupted run: err = %v, want cancellation", err)
 	}
 	if got := r1.ComputeCalls(); got != killAfter {
@@ -201,7 +202,7 @@ func TestWatchdogReapsStalledCell(t *testing.T) {
 	if !errors.Is(rep.Errs[0], watchdog.ErrStalled) {
 		t.Fatalf("cell failure is not classified as a stall: %v", rep.Errs[0])
 	}
-	if canceled(rep.Errs[0]) {
+	if failure.Ended(rep.Errs[0]) {
 		t.Fatalf("stall misclassified as cancellation: %v", rep.Errs[0])
 	}
 	if !strings.Contains(rep.Text, "n/a (stalled)") {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -10,9 +9,9 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/collapse"
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/watchdog"
 	"repro/internal/workloads"
 )
 
@@ -47,19 +46,6 @@ func naCell(v float64) any {
 		return "n/a"
 	}
 	return v
-}
-
-// failedCell renders a metric whose run may have been reaped by the stall
-// watchdog or the per-cell deadline: reaped cells say which supervisor
-// fired, other failures stay plain "n/a".
-func failedCell(v float64, stalled, deadlined bool) any {
-	switch {
-	case deadlined:
-		return "n/a (deadline)"
-	case stalled:
-		return "n/a (stalled)"
-	}
-	return naCell(v)
 }
 
 // errSummary renders the trailing failure summary appended to degraded
@@ -110,7 +96,7 @@ func Table1Data(r *Runner) ([]Table1Row, []error, error) {
 				continue
 			}
 		}
-		if canceled(err) {
+		if failure.Ended(err) {
 			return nil, nil, err
 		}
 		c.add(fmt.Errorf("experiments: tracing %s: %w", w.Name, err))
@@ -154,7 +140,7 @@ func Table2Data(r *Runner) ([]Table2Row, []error, error) {
 	for _, w := range workloads.All() {
 		row, err := table2Row(r, w)
 		if err != nil {
-			if canceled(err) {
+			if failure.Ended(err) {
 				return nil, nil, err
 			}
 			c.add(fmt.Errorf("experiments: tracing %s: %w", w.Name, err))
@@ -233,7 +219,7 @@ type PerfData struct {
 // cancellation aborts.
 func Performance(r *Runner, set []*workloads.Workload) (*PerfData, error) {
 	widths := r.widths()
-	if err := r.Prefetch(set, core.Configs(), widths); err != nil && canceled(err) {
+	if err := r.Prefetch(set, core.Configs(), widths); err != nil && failure.Ended(err) {
 		return nil, err
 	}
 	d := &PerfData{
@@ -250,7 +236,7 @@ func Performance(r *Runner, set []*workloads.Workload) (*PerfData, error) {
 			for _, w := range set {
 				res, err := r.Result(w, cfg, width)
 				if err != nil {
-					if canceled(err) {
+					if failure.Ended(err) {
 						return nil, err
 					}
 					c.add(err)
@@ -258,7 +244,7 @@ func Performance(r *Runner, set []*workloads.Workload) (*PerfData, error) {
 				}
 				base, err := r.Result(w, core.ConfigA, width)
 				if err != nil {
-					if canceled(err) {
+					if failure.Ended(err) {
 						return nil, err
 					}
 					c.add(err)
@@ -389,7 +375,7 @@ type LoadRow struct {
 // second return; only cancellation aborts.
 func LoadBehavior(r *Runner, set []*workloads.Workload) ([]LoadRow, []error, error) {
 	widths := r.widths()
-	if err := r.Prefetch(set, []core.Config{core.ConfigD}, widths); err != nil && canceled(err) {
+	if err := r.Prefetch(set, []core.Config{core.ConfigD}, widths); err != nil && failure.Ended(err) {
 		return nil, nil, err
 	}
 	var rows []LoadRow
@@ -399,7 +385,7 @@ func LoadBehavior(r *Runner, set []*workloads.Workload) ([]LoadRow, []error, err
 		for _, w := range set {
 			res, err := r.Result(w, core.ConfigD, width)
 			if err != nil {
-				if canceled(err) {
+				if failure.Ended(err) {
 					return nil, nil, err
 				}
 				c.add(err)
@@ -459,7 +445,7 @@ type CollapseRow struct {
 func CollapseBehavior(r *Runner) ([]CollapseRow, []error, error) {
 	set := workloads.All()
 	widths := r.widths()
-	if err := r.Prefetch(set, []core.Config{core.ConfigD}, widths); err != nil && canceled(err) {
+	if err := r.Prefetch(set, []core.Config{core.ConfigD}, widths); err != nil && failure.Ended(err) {
 		return nil, nil, err
 	}
 	var rows []CollapseRow
@@ -472,7 +458,7 @@ func CollapseBehavior(r *Runner) ([]CollapseRow, []error, error) {
 		for _, w := range set {
 			res, err := r.Result(w, core.ConfigD, width)
 			if err != nil {
-				if canceled(err) {
+				if failure.Ended(err) {
 					return nil, nil, err
 				}
 				c.add(err)
@@ -601,7 +587,7 @@ type SigTable struct {
 func Signatures(r *Runner, triples bool, topN int) (*SigTable, error) {
 	set := workloads.All()
 	widths := r.widths()
-	if err := r.Prefetch(set, []core.Config{core.ConfigD}, widths); err != nil && canceled(err) {
+	if err := r.Prefetch(set, []core.Config{core.ConfigD}, widths); err != nil && failure.Ended(err) {
 		return nil, err
 	}
 	st := &SigTable{Widths: widths, Pct: make(map[string]map[int]float64)}
@@ -612,7 +598,7 @@ func Signatures(r *Runner, triples bool, topN int) (*SigTable, error) {
 		for _, w := range set {
 			res, err := r.Result(w, core.ConfigD, width)
 			if err != nil {
-				if canceled(err) {
+				if failure.Ended(err) {
 					return nil, err
 				}
 				c.add(err)
@@ -693,16 +679,13 @@ func Table6(r *Runner) (*Report, error) {
 
 // PerBenchRow is one benchmark's IPC under every configuration at one
 // width. The paper reports only harmonic means; this exposes the
-// per-benchmark detail behind them. Stalled marks cells reaped by the
-// stall watchdog (Runner.StallTimeout): they render as "n/a (stalled)" to
-// distinguish a hung simulation from an ordinary failure. Deadlined marks
-// cells reaped by the per-cell deadline (Runner.CellTimeout): they render
-// as "n/a (deadline)".
+// per-benchmark detail behind them. Failed names the failure kind of each
+// cell that failed; such a cell renders as "n/a (<kind>)", so a stalled,
+// deadlined or corrupt cell reads differently from an ordinary failure.
 type PerBenchRow struct {
-	Name      string
-	IPC       map[string]float64 // config name -> IPC
-	Stalled   map[string]bool    // config name -> reaped by the watchdog
-	Deadlined map[string]bool    // config name -> reaped by the cell deadline
+	Name   string
+	IPC    map[string]float64      // config name -> IPC (NaN when failed)
+	Failed map[string]failure.Kind // config name -> why the cell failed
 }
 
 // PerBenchmark computes per-benchmark IPCs for all configurations at the
@@ -710,24 +693,22 @@ type PerBenchRow struct {
 // only cancellation aborts.
 func PerBenchmark(r *Runner, width int) ([]PerBenchRow, []error, error) {
 	set := workloads.All()
-	if err := r.Prefetch(set, core.Configs(), []int{width}); err != nil && canceled(err) {
+	if err := r.Prefetch(set, core.Configs(), []int{width}); err != nil && failure.Ended(err) {
 		return nil, nil, err
 	}
 	var rows []PerBenchRow
 	var c collector
 	for _, w := range set {
-		row := PerBenchRow{Name: w.Name, IPC: make(map[string]float64),
-			Stalled: make(map[string]bool), Deadlined: make(map[string]bool)}
+		row := PerBenchRow{Name: w.Name, IPC: make(map[string]float64), Failed: make(map[string]failure.Kind)}
 		for _, cfg := range core.Configs() {
 			res, err := r.Result(w, cfg, width)
 			if err != nil {
-				if canceled(err) {
+				if failure.Ended(err) {
 					return nil, nil, err
 				}
 				c.add(err)
 				row.IPC[cfg.Name] = math.NaN()
-				row.Stalled[cfg.Name] = errors.Is(err, watchdog.ErrStalled)
-				row.Deadlined[cfg.Name] = errors.Is(err, ErrCellDeadline)
+				row.Failed[cfg.Name] = failure.Of(err)
 				continue
 			}
 			row.IPC[cfg.Name] = res.IPC()
@@ -751,7 +732,11 @@ func PerBenchmarkReport(r *Runner, width int) (*Report, error) {
 	for _, row := range rows {
 		cells := []any{row.Name}
 		for _, cfg := range core.Configs() {
-			cells = append(cells, failedCell(row.IPC[cfg.Name], row.Stalled[cfg.Name], row.Deadlined[cfg.Name]))
+			if k, ok := row.Failed[cfg.Name]; ok {
+				cells = append(cells, k.Cell())
+			} else {
+				cells = append(cells, row.IPC[cfg.Name])
+			}
 		}
 		t.AddRowf(cells...)
 	}

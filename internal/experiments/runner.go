@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/metrics"
 	"repro/internal/perf"
@@ -52,8 +53,8 @@ const stallHeartbeatEvery = 1024
 //     trace hash + config fingerprint), so a crashed or canceled sweep
 //     resumes from what already finished;
 //   - Retries re-attempts transiently failing cells with exponential
-//     backoff; permanent failures (corrupt traces, invariant violations,
-//     stalls) and cancellations are never retried;
+//     backoff; a failure of a permanent kind (every kind but sim, see
+//     internal/failure) is never retried;
 //   - StallTimeout supervises each cell with a watchdog fed by the
 //     scheduler's progress heartbeats: a cell that stops making progress is
 //     reaped as stalled instead of wedging its worker forever.
@@ -156,9 +157,9 @@ func (e *CellDeadlineError) Error() string {
 // Is matches the ErrCellDeadline sentinel.
 func (e *CellDeadlineError) Is(target error) bool { return target == ErrCellDeadline }
 
-// Permanent marks deadline failures as never worth retrying: the pipeline
+// FailureKind declares the deadline kind, which is permanent: the pipeline
 // is deterministic, so the same cell overruns the same budget again.
-func (e *CellDeadlineError) Permanent() bool { return true }
+func (e *CellDeadlineError) FailureKind() failure.Kind { return failure.Deadline }
 
 // NewRunner creates a Runner at the given scale (0 = workload defaults).
 func NewRunner(scale int) *Runner {
@@ -302,13 +303,6 @@ func (r *Runner) widths() []int {
 	return core.Widths
 }
 
-// canceled reports whether err stems from context cancellation or a
-// deadline — the only error class that aborts a whole experiment rather
-// than degrading one cell.
-func canceled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // Result returns the simulation result for one (workload, config, width),
 // computing and caching it on first use. Errors other than cancellation are
 // cached too, so a broken cell fails fast everywhere it is needed.
@@ -345,7 +339,7 @@ func (r *Runner) ResultCtx(ctx context.Context, w *workloads.Workload, cfg core.
 	if r.metrics != nil && attempts > 1 {
 		r.metrics.retries.Add(int64(attempts - 1))
 	}
-	if canceled(err) {
+	if failure.Ended(err) {
 		// A canceled run says nothing about the cell itself; leave the
 		// cache empty so a later run with a live context can succeed.
 		span.Annotate("outcome", "canceled")
@@ -459,7 +453,7 @@ func (r *Runner) compute(ctx context.Context, w *workloads.Workload, cfg core.Co
 			// the sweep's own context is still live is a cell failure, not
 			// a cancellation: convert it so it degrades one cell, caches,
 			// and is never retried.
-			if r.CellTimeout > 0 && ctx.Err() == nil && errors.Is(rerr, context.DeadlineExceeded) {
+			if r.CellTimeout > 0 && ctx.Err() == nil && failure.Of(rerr) == failure.Deadline {
 				return &CellDeadlineError{Timeout: r.CellTimeout}
 			}
 			return rerr

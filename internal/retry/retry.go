@@ -1,34 +1,19 @@
 // Package retry implements bounded retry with exponential backoff and
-// jitter for transient simulation-cell failures, classified through the
-// pipeline's error taxonomy (docs/robustness.md):
-//
-//   - context cancellation and deadlines are Canceled — the caller's run
-//     is over; retrying would fight the user;
-//   - corrupt input (trace.IsCorrupt: bad magic, truncation, checksum
-//     mismatches …) is Permanent — the bytes will not heal;
-//   - scheduler invariant violations (core.InvariantError) and watchdog
-//     stalls (watchdog.ErrStalled) are Permanent — the pipeline is
-//     deterministic, so the same cell fails the same way again (both mark
-//     themselves via the Permanent()/sentinel conventions below);
-//   - everything else — injected faults (faultinject.ErrInjected), I/O and
-//     stream hiccups, net-style timeouts — is Transient and worth a
-//     bounded, backed-off re-attempt.
-//
-// The classifier is extensible without import cycles: any error exposing
-// `Permanent() bool` is classified by its own answer, mirroring the
-// net.Error Timeout()/Temporary() convention.
+// jitter for transiently failing simulation cells. Whether a failure is
+// worth another attempt is the failure taxonomy's call, not this
+// package's: Do stops on any error whose kind (failure.Of) is permanent —
+// every kind but sim, cancellation included — and retries the rest. The
+// table is in internal/failure and, in prose, docs/robustness.md §6.
 package retry
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/trace"
-	"repro/internal/watchdog"
+	"repro/internal/failure"
 )
 
 // Process-wide attempt counters, bridged into the serving metrics
@@ -48,56 +33,6 @@ func Attempts() int64 { return totalAttempts.Load() }
 // transient failure) have been taken process-wide since start.
 func Backoffs() int64 { return totalBackoffs.Load() }
 
-// Class partitions errors by what retrying can achieve.
-type Class int
-
-const (
-	// Transient failures may heal on re-attempt.
-	Transient Class = iota
-	// Permanent failures are deterministic; retrying repeats them.
-	Permanent
-	// Canceled failures come from the caller's own context; stop at once.
-	Canceled
-)
-
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case Transient:
-		return "transient"
-	case Permanent:
-		return "permanent"
-	case Canceled:
-		return "canceled"
-	}
-	return fmt.Sprintf("class(%d)", int(c))
-}
-
-// Classify maps err onto the taxonomy above. Unknown errors default to
-// Transient: the retry budget is bounded, so the cost of re-attempting a
-// novel permanent failure is a few backoffs, while misclassifying a
-// transient one as permanent would forfeit a recoverable cell.
-func Classify(err error) Class {
-	switch {
-	case err == nil:
-		return Transient
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return Canceled
-	case trace.IsCorrupt(err):
-		return Permanent
-	case errors.Is(err, watchdog.ErrStalled):
-		return Permanent
-	}
-	var p interface{ Permanent() bool }
-	if errors.As(err, &p) {
-		if p.Permanent() {
-			return Permanent
-		}
-		return Transient
-	}
-	return Transient
-}
-
 // Policy bounds the retry loop. The zero Policy means one attempt, no
 // retry; fields default individually so callers set only what they need.
 type Policy struct {
@@ -116,8 +51,6 @@ type Policy struct {
 	Jitter float64
 	// Seed drives the jitter; 0 seeds from the clock. Tests pin it.
 	Seed int64
-	// Classify overrides the default classifier when non-nil.
-	Classify func(error) Class
 	// Sleep overrides the backoff wait when non-nil (tests record delays
 	// instead of sleeping). It must honor ctx.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -145,9 +78,6 @@ func (p Policy) withDefaults() Policy {
 	if p.Seed == 0 {
 		p.Seed = time.Now().UnixNano()
 	}
-	if p.Classify == nil {
-		p.Classify = Classify
-	}
 	if p.Sleep == nil {
 		p.Sleep = sleep
 	}
@@ -166,8 +96,8 @@ func sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Do runs fn (attempt numbers start at 1) until it succeeds, fails
-// permanently, is canceled, or exhausts the attempt budget. It returns the
+// Do runs fn (attempt numbers start at 1) until it succeeds, fails with a
+// permanent kind, or exhausts the attempt budget. It returns the
 // number of attempts actually made alongside the final error.
 //
 // A cancellation that lands during a backoff wait is joined with the last
@@ -186,7 +116,7 @@ func Do(ctx context.Context, p Policy, fn func(attempt int) error) (attempts int
 		if attempt >= p.MaxAttempts {
 			return attempt, err
 		}
-		if class := p.Classify(err); class != Transient {
+		if failure.Of(err).Permanent() {
 			return attempt, err
 		}
 		d := delay

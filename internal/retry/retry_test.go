@@ -8,35 +8,41 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/trace"
 	"repro/internal/watchdog"
 )
 
-// TestClassify pins the error taxonomy: cancellations stop, corruption and
-// invariant violations are permanent, injected faults and unknowns are
-// transient.
+// TestClassify pins how Do reads the failure taxonomy: cancellations,
+// corruption, invariant violations, stalls, panics and cell deadlines get
+// one attempt; injected faults, unknown errors and kinds missing from the
+// table are retried to the budget.
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		name string
 		err  error
-		want Class
+		want int // attempts out of a budget of 3
 	}{
-		{"nil", nil, Transient},
-		{"canceled", context.Canceled, Canceled},
-		{"deadline", context.DeadlineExceeded, Canceled},
-		{"wrapped cancel", fmt.Errorf("cell: %w", context.Canceled), Canceled},
-		{"corrupt trace", fmt.Errorf("read: %w", trace.ErrCorruptRecord), Permanent},
-		{"bad magic", trace.ErrBadMagic, Permanent},
-		{"invariant", &core.InvariantError{Invariant: "issue-width", Cycle: 3}, Permanent},
-		{"wrapped invariant", fmt.Errorf("run: %w", &core.InvariantError{}), Permanent},
-		{"stalled", fmt.Errorf("cell: %w", watchdog.ErrStalled), Permanent},
-		{"injected fault", faultinject.ErrInjected, Transient},
-		{"unknown", errors.New("mystery"), Transient},
+		{"canceled", context.Canceled, 1},
+		{"deadline", context.DeadlineExceeded, 1},
+		{"wrapped cancel", fmt.Errorf("cell: %w", context.Canceled), 1},
+		{"corrupt trace", fmt.Errorf("read: %w", trace.ErrCorruptRecord), 1},
+		{"bad magic", trace.ErrBadMagic, 1},
+		{"invariant", &core.InvariantError{Invariant: "issue-width", Cycle: 3}, 1},
+		{"wrapped invariant", fmt.Errorf("run: %w", &core.InvariantError{}), 1},
+		{"stalled", fmt.Errorf("cell: %w", watchdog.ErrStalled), 1},
+		{"panic", &watchdog.PanicError{Value: "boom"}, 1},
+		{"remote invariant", &failure.Error{Kind: failure.Invariant, Message: "m"}, 1},
+		{"injected fault", faultinject.ErrInjected, 3},
+		{"unknown", errors.New("mystery"), 3},
+		{"remote sim", &failure.Error{Kind: failure.Sim, Message: "m"}, 3},
+		{"unknown kind", &failure.Error{Kind: "from-the-future", Message: "m"}, 3},
 	}
 	for _, tc := range cases {
-		if got := Classify(tc.err); got != tc.want {
-			t.Errorf("Classify(%s) = %v, want %v", tc.name, got, tc.want)
+		p := Policy{MaxAttempts: 3, Sleep: func(context.Context, time.Duration) error { return nil }}
+		if got, _ := Do(context.Background(), p, func(int) error { return tc.err }); got != tc.want {
+			t.Errorf("%s: %d attempts, want %d", tc.name, got, tc.want)
 		}
 	}
 }
@@ -238,24 +244,6 @@ func TestZeroPolicyMeansOneAttempt(t *testing.T) {
 	})
 	if attempts != 1 || calls != 1 || err == nil {
 		t.Fatalf("attempts = %d, calls = %d, err = %v; want single failing attempt", attempts, calls, err)
-	}
-}
-
-// TestClassifyOverride: a custom classifier replaces the default wholesale.
-func TestClassifyOverride(t *testing.T) {
-	p := Policy{
-		MaxAttempts: 4,
-		Classify:    func(error) Class { return Permanent },
-		Sleep: func(context.Context, time.Duration) error {
-			t.Fatal("slept despite Permanent classification")
-			return nil
-		},
-	}
-	attempts, _ := Do(context.Background(), p, func(int) error {
-		return faultinject.ErrInjected // default classifier would retry this
-	})
-	if attempts != 1 {
-		t.Fatalf("attempts = %d, want 1", attempts)
 	}
 }
 

@@ -1,22 +1,15 @@
 package server
 
-// Job lifecycle and the service-level error taxonomy. Every job ends in
-// exactly one terminal state with, on failure, a structured JobError whose
-// Kind maps the pipeline taxonomy (docs/robustness.md) onto the serving
-// layer: clients branch on Kind, never on message text.
+// Job lifecycle. Every job ends in exactly one terminal state with, on
+// failure, a structured *failure.Error: clients branch on its kind (the
+// pipeline taxonomy, docs/robustness.md §6), never on message text.
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/experiments"
+	"repro/internal/failure"
 	"repro/internal/metrics"
-	"repro/internal/trace"
-	"repro/internal/watchdog"
 	"repro/internal/workloads"
 )
 
@@ -37,40 +30,6 @@ const (
 func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
-
-// JobError kinds — the serving layer's error taxonomy.
-const (
-	// KindPanic: the cell panicked; recovered and isolated, and counted
-	// toward the cell's quarantine budget.
-	KindPanic = "panic"
-	// KindQuarantined: the cell crashed repeatedly and is quarantined;
-	// the job was rejected without running.
-	KindQuarantined = "quarantined"
-	// KindDeadline: the job's deadline expired mid-run.
-	KindDeadline = "deadline"
-	// KindStalled: the stall watchdog reaped the cell.
-	KindStalled = "stalled"
-	// KindInvariant: a scheduler self-check failed; the cell's statistics
-	// cannot be trusted.
-	KindInvariant = "invariant"
-	// KindCorrupt: corrupt trace or store input.
-	KindCorrupt = "corrupt"
-	// KindDrain: the server drained before the job started.
-	KindDrain = "drain"
-	// KindCanceled: the server shut down (forced) while the job ran.
-	KindCanceled = "canceled"
-	// KindSim: any other simulation failure.
-	KindSim = "sim"
-)
-
-// JobError is the structured failure attached to a failed or canceled job.
-type JobError struct {
-	Kind    string `json:"kind"`
-	Message string `json:"message"`
-}
-
-// Error implements error.
-func (e *JobError) Error() string { return fmt.Sprintf("%s: %s", e.Kind, e.Message) }
 
 // JobSpec is the client-supplied description of one simulation cell.
 type JobSpec struct {
@@ -102,12 +61,12 @@ type JobResult struct {
 // Job is one admitted simulation cell. All fields are guarded by the
 // server's mutex; handlers serve copies via the doc() snapshot.
 type Job struct {
-	ID     string     `json:"id"`
-	Spec   JobSpec    `json:"spec"`
-	State  JobState   `json:"state"`
-	Error  *JobError  `json:"error,omitempty"`
-	Result *JobResult `json:"result,omitempty"`
-	Sweep  string     `json:"sweep,omitempty"`
+	ID     string         `json:"id"`
+	Spec   JobSpec        `json:"spec"`
+	State  JobState       `json:"state"`
+	Error  *failure.Error `json:"error,omitempty"`
+	Result *JobResult     `json:"result,omitempty"`
+	Sweep  string         `json:"sweep,omitempty"`
 
 	// resolved at admission so workers never re-parse
 	w   *workloads.Workload
@@ -128,37 +87,13 @@ func (j *Job) key() cellKey {
 	return cellKey{j.Spec.Workload, j.cfg.Fingerprint(), j.Spec.Width, j.Spec.SelfCheck}
 }
 
-// classify maps a pipeline error onto the JobError taxonomy. draining
-// distinguishes a shutdown-canceled job from a client-deadline one.
-func classify(err error, draining bool) *JobError {
-	if err == nil {
-		return nil
+// jobError reduces a pipeline error to the job's failure (nil for nil).
+// Its kind is failure.Of's, except that a cancellation while the server
+// drains is a drain.
+func jobError(err error, draining bool) *failure.Error {
+	jerr := failure.From(err)
+	if jerr != nil && jerr.Kind == failure.Canceled && draining {
+		jerr.Kind = failure.Drain
 	}
-	var inv *core.InvariantError
-	var pe *watchdog.PanicError
-	var re *cluster.RemoteError
-	switch {
-	case errors.As(err, &re):
-		// A remote failure arrives pre-classified in the same taxonomy;
-		// carry the kind through so clients cannot tell where a cell ran.
-		return &JobError{Kind: re.Kind, Message: err.Error()}
-	case errors.As(err, &pe):
-		return &JobError{Kind: KindPanic, Message: pe.Error()}
-	case errors.As(err, &inv):
-		return &JobError{Kind: KindInvariant, Message: err.Error()}
-	case errors.Is(err, watchdog.ErrStalled):
-		return &JobError{Kind: KindStalled, Message: err.Error()}
-	case errors.Is(err, experiments.ErrCellDeadline),
-		errors.Is(err, context.DeadlineExceeded):
-		return &JobError{Kind: KindDeadline, Message: err.Error()}
-	case errors.Is(err, context.Canceled):
-		kind := KindCanceled
-		if draining {
-			kind = KindDrain
-		}
-		return &JobError{Kind: kind, Message: err.Error()}
-	case trace.IsCorrupt(err):
-		return &JobError{Kind: KindCorrupt, Message: err.Error()}
-	}
-	return &JobError{Kind: KindSim, Message: err.Error()}
+	return jerr
 }

@@ -5,7 +5,7 @@ package server
 // a cell that panics repeatedly is deterministic damage — every re-attempt
 // burns a worker and risks whatever partial state the panic left behind.
 // After `after` crashes, jobs for that cell are rejected immediately with
-// KindQuarantined, without touching the worker pool.
+// the quarantined kind, without touching the worker pool.
 
 import "sync"
 

@@ -9,7 +9,7 @@
 //   - per-job deadlines: every job runs under context.WithTimeout,
 //     propagated down through the Runner into core.RunChecked and
 //     watchdog.Run;
-//   - panic isolation: a panicking cell becomes a structured JobError, and
+//   - panic isolation: a panicking cell fails with the panic kind, and
 //     a cell that crashes repeatedly is quarantined instead of re-run;
 //   - a circuit breaker around store I/O (see Breaker): a failing disk
 //     degrades durability, never liveness;
@@ -34,6 +34,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/failure"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -283,7 +284,7 @@ func (s *Server) Start() {
 
 // Drain gracefully shuts the server down: stop admitting (submissions get
 // 503, readyz goes unready), cancel queued-but-unstarted jobs with
-// KindDrain, let in-flight jobs finish (checkpointing to the store as
+// the drain kind, let in-flight jobs finish (checkpointing to the store as
 // usual), and return when the pool is idle. If ctx expires first, running
 // jobs are canceled and Drain returns ctx's error after a short grace
 // period — the exit-code taxonomy maps it to "canceled".
@@ -349,7 +350,7 @@ func (s *Server) worker() {
 		job.queuedSpan.End()
 		if draining || s.ctx.Err() != nil {
 			s.finish(job, StateCanceled, nil,
-				&JobError{Kind: KindDrain, Message: "server draining; job was never started"})
+				&failure.Error{Kind: failure.Drain, Message: "server draining; job was never started"})
 			continue
 		}
 		s.runJob(job)
@@ -359,7 +360,7 @@ func (s *Server) worker() {
 func (s *Server) runJob(job *Job) {
 	key := job.key()
 	if s.quar.isBlocked(key) {
-		s.finish(job, StateFailed, nil, &JobError{Kind: KindQuarantined,
+		s.finish(job, StateFailed, nil, &failure.Error{Kind: failure.Quarantined,
 			Message: fmt.Sprintf("cell %s/%s/w%d crashed repeatedly and is quarantined",
 				job.Spec.Workload, job.Spec.Config, job.Spec.Width)})
 		return
@@ -376,9 +377,8 @@ func (s *Server) runJob(job *Job) {
 	var res *core.Result
 	var err error
 	func() {
-		// Panic isolation for panics on the worker goroutine itself
-		// (stall supervision off, or a panic outside the supervised
-		// region); supervised panics arrive as *watchdog.PanicError.
+		// Panic isolation for panics outside the simulation, which the
+		// Runner already returns as a *watchdog.PanicError.
 		defer func() {
 			if r := recover(); r != nil {
 				err = &watchdog.PanicError{Value: r, Stack: "recovered at server worker"}
@@ -387,17 +387,17 @@ func (s *Server) runJob(job *Job) {
 		res, err = s.runnerFor(job).ResultCtx(ctx, job.w, job.cfg, job.Spec.Width)
 	}()
 
-	jerr := classify(err, s.Draining())
+	jerr := jobError(err, s.Draining())
 	if jerr != nil {
-		run.Annotate("outcome", jerr.Kind)
+		run.Annotate("outcome", string(jerr.Kind))
 		run.End()
-		if jerr.Kind == KindPanic {
+		if jerr.Kind == failure.Panic {
 			if s.quar.recordCrash(key) {
 				s.met.quarTrips.Inc()
 			}
 		}
 		state := StateFailed
-		if jerr.Kind == KindDrain || jerr.Kind == KindCanceled {
+		if jerr.Kind == failure.Drain || jerr.Kind == failure.Canceled {
 			state = StateCanceled
 		}
 		s.finish(job, state, nil, jerr)
@@ -421,7 +421,7 @@ func (s *Server) setState(j *Job, st JobState) {
 	j.State = st
 }
 
-func (s *Server) finish(j *Job, st JobState, res *JobResult, jerr *JobError) {
+func (s *Server) finish(j *Job, st JobState, res *JobResult, jerr *failure.Error) {
 	j.queuedSpan.End() // no-op if the job left the queue normally
 	s.met.observeOutcome(st, time.Since(j.admitted))
 	s.mu.Lock()
@@ -701,7 +701,7 @@ func renderSweepReport(jobs []Job) string {
 		case j.State == StateDone && j.Result != nil:
 			cell = strconv.FormatFloat(j.Result.IPC, 'f', 4, 64)
 		case j.Error != nil:
-			cell = "n/a (" + j.Error.Kind + ")"
+			cell = j.Error.Kind.Cell()
 		}
 		t.AddRow(j.Spec.Workload, j.Spec.Config, strconv.Itoa(j.Spec.Width), cell)
 	}

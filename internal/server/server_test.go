@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/failure"
 	"repro/internal/faultinject"
+	"repro/internal/watchdog"
 )
 
 // testServer spins up a started Server behind httptest with a hard client
@@ -219,7 +221,7 @@ func TestJobDeadlineProducesDeadlineError(t *testing.T) {
 	_, ts, c := testServer(t, Options{Workers: 1, QueueDepth: 4, Scale: 300})
 	id := submitJob(t, c, ts.URL, JobSpec{Workload: "compress", Config: "A", Width: 4, DeadlineMS: 50})
 	job := waitTerminal(t, c, ts.URL, id)
-	if job.State != StateFailed || job.Error == nil || job.Error.Kind != KindDeadline {
+	if job.State != StateFailed || job.Error == nil || job.Error.Kind != failure.Deadline {
 		t.Fatalf("state = %s, error = %+v; want failed/deadline", job.State, job.Error)
 	}
 }
@@ -239,7 +241,7 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		id := submitJob(t, c, ts.URL, spec)
 		job := waitTerminal(t, c, ts.URL, id)
-		if job.State != StateFailed || job.Error == nil || job.Error.Kind != KindPanic {
+		if job.State != StateFailed || job.Error == nil || job.Error.Kind != failure.Panic {
 			t.Fatalf("crash %d: state = %s, error = %+v; want failed/panic", i+1, job.State, job.Error)
 		}
 		if !strings.Contains(job.Error.Message, "injected cell crash") {
@@ -250,7 +252,7 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 	fired := faultinject.Fired(faultinject.PointExperiment)
 	id := submitJob(t, c, ts.URL, spec)
 	job := waitTerminal(t, c, ts.URL, id)
-	if job.State != StateFailed || job.Error == nil || job.Error.Kind != KindQuarantined {
+	if job.State != StateFailed || job.Error == nil || job.Error.Kind != failure.Quarantined {
 		t.Fatalf("state = %s, error = %+v; want failed/quarantined", job.State, job.Error)
 	}
 	if got := faultinject.Fired(faultinject.PointExperiment); got != fired {
@@ -278,7 +280,7 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	// One worker; job A runs (wedged until released), job B sits queued.
 	// Drain must: flip readyz, refuse new submissions with 503, cancel B
-	// with KindDrain, and let A finish normally.
+	// with the drain kind, and let A finish normally.
 	release := make(chan struct{})
 	faultinject.ArmOnceFunc(faultinject.PointExperiment, func() error {
 		<-release
@@ -316,7 +318,7 @@ func TestGracefulDrain(t *testing.T) {
 	if job := waitTerminal(t, c, ts.URL, a); job.State != StateDone {
 		t.Fatalf("in-flight job: state = %s, error = %v; must finish", job.State, job.Error)
 	}
-	if job := waitTerminal(t, c, ts.URL, b); job.State != StateCanceled || job.Error == nil || job.Error.Kind != KindDrain {
+	if job := waitTerminal(t, c, ts.URL, b); job.State != StateCanceled || job.Error == nil || job.Error.Kind != failure.Drain {
 		t.Fatalf("queued job: state = %s, error = %+v; want canceled/drain", job.State, job.Error)
 	}
 
@@ -394,21 +396,28 @@ func TestSweepIsAdmittedWholeOrNotAtAll(t *testing.T) {
 	_ = srv
 }
 
-// TestClassifyTaxonomy pins the error -> JobError mapping.
+// TestClassifyTaxonomy pins the error -> job error mapping: failure.Of's
+// kind and the error's own message, with a cancellation during drain
+// reported as a drain.
 func TestClassifyTaxonomy(t *testing.T) {
 	cases := []struct {
 		err      error
 		draining bool
-		kind     string
+		kind     failure.Kind
 	}{
-		{fmt.Errorf("x: %w", errors.ErrUnsupported), false, KindSim},
+		{fmt.Errorf("x: %w", errors.ErrUnsupported), false, failure.Sim},
+		{fmt.Errorf("x: %w", context.Canceled), false, failure.Canceled},
+		{fmt.Errorf("x: %w", context.Canceled), true, failure.Drain},
+		{fmt.Errorf("x: %w", context.DeadlineExceeded), true, failure.Deadline},
+		{fmt.Errorf("x: %w", watchdog.ErrStalled), true, failure.Stalled},
 	}
 	for _, c := range cases {
-		if got := classify(c.err, c.draining); got.Kind != c.kind {
-			t.Errorf("classify(%v) = %s, want %s", c.err, got.Kind, c.kind)
+		got := jobError(c.err, c.draining)
+		if got.Kind != c.kind || got.Message != c.err.Error() {
+			t.Errorf("jobError(%v, %t) = %+v, want kind %s and the error's message", c.err, c.draining, got, c.kind)
 		}
 	}
-	if classify(nil, false) != nil {
-		t.Error("classify(nil) must be nil")
+	if jobError(nil, false) != nil {
+		t.Error("jobError(nil) must be nil")
 	}
 }

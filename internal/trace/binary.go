@@ -3,10 +3,10 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
+	"repro/internal/failure"
 	"repro/internal/isa"
 )
 
@@ -43,37 +43,35 @@ const (
 // corrupt-input errors (errors.Is / IsCorrupt) without string matching.
 var (
 	// ErrBadMagic: the stream does not start with the SV8T magic.
-	ErrBadMagic = errors.New("trace: bad magic")
+	ErrBadMagic error = corruptError("trace: bad magic")
 	// ErrBadVersion: the header names a format version this reader does not
 	// speak.
-	ErrBadVersion = errors.New("trace: unsupported version")
+	ErrBadVersion error = corruptError("trace: unsupported version")
 	// ErrBadHeader: the header itself is short or unreadable.
-	ErrBadHeader = errors.New("trace: corrupt header")
+	ErrBadHeader error = corruptError("trace: corrupt header")
 	// ErrTruncated: the stream ended before the header's record count was
 	// satisfied, either mid-record or at a record boundary.
-	ErrTruncated = errors.New("trace: truncated")
+	ErrTruncated error = corruptError("trace: truncated")
 	// ErrCorruptRecord: a record failed validation (checksum mismatch,
 	// out-of-range opcode or register, undefined flag bits).
-	ErrCorruptRecord = errors.New("trace: corrupt record")
+	ErrCorruptRecord error = corruptError("trace: corrupt record")
 	// ErrTrailingData: bytes follow the final record promised by the header
 	// (e.g. a duplicated record appended to the image).
-	ErrTrailingData = errors.New("trace: trailing data after final record")
+	ErrTrailingData error = corruptError("trace: trailing data after final record")
 )
+
+// corruptError is the type of the corrupt-input sentinels above: each
+// declares the corrupt failure kind, which is permanent (the bytes will
+// not heal).
+type corruptError string
+
+func (e corruptError) Error() string           { return string(e) }
+func (corruptError) FailureKind() failure.Kind { return failure.Corrupt }
 
 // IsCorrupt reports whether err denotes corrupt or malformed trace input
 // (as opposed to an I/O failure or an unrelated error). The ddsim family
 // maps such errors to a distinct exit code.
-func IsCorrupt(err error) bool {
-	for _, sentinel := range []error{
-		ErrBadMagic, ErrBadVersion, ErrBadHeader,
-		ErrTruncated, ErrCorruptRecord, ErrTrailingData,
-	} {
-		if errors.Is(err, sentinel) {
-			return true
-		}
-	}
-	return false
-}
+func IsCorrupt(err error) bool { return failure.Of(err) == failure.Corrupt }
 
 // checksum folds the first n-1 bytes of an encoded record into its final
 // checksum byte. XOR detects every single-bit flip in the record image.

@@ -1,7 +1,7 @@
 // Package watchdog detects hung operations through progress heartbeats.
 //
 // The experiment pipeline's failure modes fall into two families: loud
-// (errors, panics, cancellation — all handled by the PR-1 taxonomy) and
+// (errors, panics, cancellation — all classified by internal/failure) and
 // silent (a cell that simply stops making progress, wedging a Prefetch
 // worker forever). This package handles the silent family: Run executes an
 // operation on its own goroutine, watches a heartbeat the operation must
@@ -25,18 +25,24 @@ package watchdog
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // ErrStalled marks an operation reaped because its heartbeat went stale
-// past the stall deadline. internal/retry classifies it as permanent: a
-// hang in a deterministic pipeline will hang again, and retrying doubles
-// the damage.
-var ErrStalled = errors.New("watchdog: stalled")
+// past the stall deadline. Its kind, failure.Stalled, is permanent: a hang
+// in a deterministic pipeline will hang again, and retrying doubles the
+// damage.
+var ErrStalled error = stalledError{}
+
+type stalledError struct{}
+
+func (stalledError) Error() string             { return "watchdog: stalled" }
+func (stalledError) FailureKind() failure.Kind { return failure.Stalled }
 
 // abandoned counts worker goroutines that outlived their grace period and
 // were left running (see the package comment). It only ever grows: an
@@ -62,12 +68,13 @@ var stalls atomic.Int64
 // stalled process-wide since start.
 func Stalls() int64 { return stalls.Load() }
 
-// PanicError reports a panic recovered from a supervised worker goroutine.
+// PanicError reports a panic recovered from a supervised operation.
 // Without this recovery a panicking worker would crash the whole process
 // from a goroutine no caller can defer around; with it, the panic becomes
-// an ordinary — permanent, never retried — error carrying the panic value
-// and stack. Serving layers use it to isolate one crashing job from its
-// neighbors.
+// an ordinary error of kind failure.Panic (permanent: the pipeline is
+// deterministic, so the same input panics the same way again) carrying the
+// panic value and stack. Serving layers use it to isolate one crashing job
+// from its neighbors.
 type PanicError struct {
 	Value any    // the recovered panic value
 	Stack string // the panicking goroutine's stack
@@ -76,9 +83,8 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("watchdog: worker panicked: %v", e.Value) }
 
-// Permanent marks panics as never worth retrying: the pipeline is
-// deterministic, so the same input panics the same way again.
-func (e *PanicError) Permanent() bool { return true }
+// FailureKind declares the panic kind.
+func (e *PanicError) FailureKind() failure.Kind { return failure.Panic }
 
 // outcome carries a worker's result through the done channel, so the
 // caller and a possibly-abandoned worker never share memory.
@@ -121,14 +127,20 @@ func gracePeriod(stall time.Duration) time.Duration {
 // core.Params.Progress. If no beat arrives for longer than stall, the
 // derived context is canceled and Run returns ErrStalled (wrapping a
 // description of how long the operation was silent); fn's eventual return
-// value is discarded. stall <= 0 disables supervision entirely: fn runs on
-// the calling goroutine with a no-op beat.
+// value is discarded. stall <= 0 disables supervision: fn runs on the
+// calling goroutine with a no-op beat. Either way a panic in fn returns
+// as a *PanicError.
 //
 // When ctx itself is canceled, Run cancels fn and waits the same bounded
 // grace period; the returned error is then ctx's (a true cancellation),
 // never ErrStalled.
-func Run[T any](ctx context.Context, stall time.Duration, fn func(ctx context.Context, beat func()) (T, error)) (T, error) {
+func Run[T any](ctx context.Context, stall time.Duration, fn func(ctx context.Context, beat func()) (T, error)) (val T, err error) {
 	if stall <= 0 {
+		defer func() {
+			if r := recover(); r != nil {
+				err = &PanicError{Value: r, Stack: string(debug.Stack())}
+			}
+		}()
 		return fn(ctx, func() {})
 	}
 	cctx, cancel := context.WithCancel(ctx)

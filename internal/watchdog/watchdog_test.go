@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // TestHealthyOperationPassesThrough: an operation that keeps beating is
@@ -140,25 +142,27 @@ func TestAbandonedCounterTracksReapedWorkers(t *testing.T) {
 	}
 }
 
-// TestPanicIsIsolatedIntoPanicError: a panic on the supervised goroutine
-// must not crash the process; it surfaces as a *PanicError that carries the
-// panic value, keeps the stack, and classifies as permanent.
+// TestPanicIsIsolatedIntoPanicError: a panic in fn must not crash the
+// process, supervised or not; it surfaces as a *PanicError that carries
+// the panic value, keeps the stack, and is of the permanent panic kind.
 func TestPanicIsIsolatedIntoPanicError(t *testing.T) {
-	_, err := Run(context.Background(), time.Hour, func(ctx context.Context, beat func()) (int, error) {
-		beat()
-		panic("scheduler state corrupted")
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if pe.Value != "scheduler state corrupted" {
-		t.Fatalf("panic value = %v", pe.Value)
-	}
-	if pe.Stack == "" {
-		t.Fatal("panic stack not captured")
-	}
-	if !pe.Permanent() {
-		t.Fatal("panics must classify as permanent (never retried)")
+	for _, stall := range []time.Duration{time.Hour, 0} {
+		_, err := Run(context.Background(), stall, func(ctx context.Context, beat func()) (int, error) {
+			beat()
+			panic("scheduler state corrupted")
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("stall %v: err = %v, want *PanicError", stall, err)
+		}
+		if pe.Value != "scheduler state corrupted" {
+			t.Fatalf("stall %v: panic value = %v", stall, pe.Value)
+		}
+		if pe.Stack == "" {
+			t.Fatalf("stall %v: panic stack not captured", stall)
+		}
+		if k := failure.Of(err); k != failure.Panic || !k.Permanent() {
+			t.Fatalf("stall %v: kind %q, want the permanent panic kind", stall, k)
+		}
 	}
 }
