@@ -8,6 +8,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -449,5 +450,45 @@ func TestPanickingCellRunsOnceThroughCluster(t *testing.T) {
 	}()
 	if k := failure.Of(err); k != failure.Panic || lone.fallbacks.Value() != 1 {
 		t.Errorf("fallback: kind %q (%v), %d fallbacks; want %q after one", k, err, lone.fallbacks.Value(), failure.Panic)
+	}
+}
+
+// TestCallerCancellationIsNotARetry: a caller that gives up on its cell
+// while the cell is dispatched ends the dispatch; that is not a failure
+// of the worker, so the coordinator must not count a re-dispatch.
+func TestCallerCancellationIsNotARetry(t *testing.T) {
+	ts := httptest.NewServer(NewWorker(WorkerOptions{}).Handler())
+	defer ts.Close()
+	coord, err := New([]string{ts.URL}, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	defer faultinject.Reset()
+	// The worker cancels the caller from inside the simulation: the
+	// cell is mid-dispatch when the caller's context ends.
+	faultinject.ArmOnceFunc(faultinject.PointCoreRun, func() error { cancel(); return nil }, 0)
+	_, err = coord.ExecuteCell(ctx, mustWorkload(t, "compress"), mustConfig(t, "A"), 4, testScale, false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the caller's context.Canceled", err)
+	}
+	if n := coord.retriesCtr.Value(); n != 0 {
+		t.Errorf("cluster_retries_total = %d, want 0", n)
+	}
+	if n := coord.dispatched.With("w0").Value(); n != 1 {
+		t.Errorf("cluster_dispatched_total = %d, want 1", n)
+	}
+	// Let the worker finish the abandoned cell before the server closes.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s := coord.StatusAll()[0]
+		if s.Dispatched == s.Completed+s.Failed+s.HedgeWasted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the dispatch never settled")
+		}
 	}
 }

@@ -334,6 +334,11 @@ func (c *Coordinator) execute(ctx context.Context, spec CellSpec) (*core.Result,
 			break
 		}
 		out, err := c.sendCellHedged(ctx, target, spec)
+		if err != nil && ctx.Err() != nil {
+			// The caller gave up mid-dispatch: nothing failed, so
+			// nothing is retried.
+			return nil, err
+		}
 		if err == nil {
 			if out.Error == nil {
 				return unmarshalResult(out.Result)

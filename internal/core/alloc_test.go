@@ -1,37 +1,28 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/trace"
-)
+import "testing"
 
 // TestVisitZeroAllocSteadyState is the allocation regression test for the
-// scheduler hot loop: once the per-PC analysis cache, predictors, and maps
-// are warm, visiting an instruction must not allocate at all. Every
-// allocation source this PR removed — the per-cycle map entries in
-// slotted, the signature strings in commitGroup, the recursive closure in
-// chooseGroup, the per-visit defer — would show up here as a fraction of
-// an allocation per visit.
+// scheduler hot loop: once the back end's maps and ring are warm, its
+// visit of a decoded record must not allocate at all. The per-cycle map
+// entries in slotted, the signature strings in commitGroup, the recursive
+// closure in chooseGroup and the per-visit defer were all removed for
+// this; any of them would show up here as a fraction of an allocation
+// per visit.
 func TestVisitZeroAllocSteadyState(t *testing.T) {
-	buf := synthTrace(4_000)
-	s := newSched(ConfigD, Params{Width: 8})
+	b := oneCell(t, ConfigD, Params{Width: 8})
+	s := b.bes[0]
 
-	// Warm up: first pass populates the info cache, grows the maps and the
-	// issue ring to steady state.
-	var rec trace.Record
-	src := buf.Reader()
-	for src.Next(&rec) {
-		s.visit(&rec)
+	// Warm up: the front end decodes every record once, populating the
+	// static records and the address table; the first pass grows the
+	// back end's maps and issue ring to steady state.
+	recs := decodeAll(t, b, synthTrace(4_000).Reader())
+	for i := range recs {
+		s.visit(&recs[i])
 	}
 
-	// Steady state: replay the same records (addresses and PCs already
-	// seen) and demand zero allocations per visit.
-	recs := make([]trace.Record, 0, buf.Len())
-	src = buf.Reader()
-	for src.Next(&rec) {
-		recs = append(recs, rec)
-	}
+	// Steady state: replay the same decoded records and demand zero
+	// allocations per back-end visit.
 	i := 0
 	avg := testing.AllocsPerRun(2_000, func() {
 		s.visit(&recs[i%len(recs)])

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/failure"
-	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -37,84 +35,6 @@ func (e *InvariantError) FailureKind() failure.Kind { return failure.Invariant }
 // bounds cancellation latency to microseconds without measurable cost on
 // the hot loop.
 const ctxCheckMask = 1<<10 - 1
-
-// RunChecked is the error-aware, cancellable form of Run. It schedules the
-// trace under cfg and params and additionally:
-//
-//   - propagates the source's deferred stream error (trace.SourceErr): a
-//     truncated or corrupt trace fails the run instead of silently
-//     producing a shorter one;
-//   - validates every record's structure (opcode and register ranges)
-//     before it reaches the scheduler, wrapping trace.ErrCorruptRecord;
-//   - honors ctx cancellation and deadlines, polled every 1024
-//     instructions — width-2048 sweeps stay interruptible;
-//   - when params.SelfCheck is set, asserts the scheduler invariants every
-//     params.SelfCheckEvery instructions (see (*sched).selfCheck) and
-//     returns a structured *InvariantError on the first violation;
-//   - when params.Progress is set, emits a heartbeat every
-//     params.ProgressEvery instructions (and once at trace end) so
-//     watchdogs can distinguish a slow run from a hung one.
-//
-// On error the returned Result carries the statistics accumulated so far —
-// a degraded but inspectable partial result; callers rendering it should
-// label it as partial. The error is nil iff the whole trace was scheduled.
-func RunChecked(ctx context.Context, src trace.Source, cfg Config, params Params) (*Result, error) {
-	return newSched(cfg, params).run(ctx, src)
-}
-
-// run is RunChecked's loop over a scheduler the caller built.
-func (s *sched) run(ctx context.Context, src trace.Source) (*Result, error) {
-	done := ctx.Done()
-	nextCheck := int64(s.p.SelfCheckEvery)
-	nextProgress := s.p.ProgressEvery
-	injecting := faultinject.Enabled()
-	var rec trace.Record
-	for src.Next(&rec) {
-		if err := validateRecord(&rec, s.seq); err != nil {
-			return s.finish(), err
-		}
-		if injecting {
-			if err := faultinject.Check(faultinject.PointCoreRun); err != nil {
-				return s.finish(), fmt.Errorf("core: scheduling instruction %d: %w", s.seq, err)
-			}
-		}
-		s.visit(&rec)
-		if s.err != nil {
-			return s.finish(), s.err
-		}
-		if s.seq&ctxCheckMask == 0 && done != nil {
-			select {
-			case <-done:
-				return s.finish(), fmt.Errorf("core: run canceled after %d instructions: %w", s.seq, ctx.Err())
-			default:
-			}
-		}
-		if s.p.SelfCheck && s.seq >= nextCheck {
-			nextCheck = s.seq + int64(s.p.SelfCheckEvery)
-			s.res.SelfChecks++
-			if e := s.selfCheck(); e != nil {
-				return s.finish(), e
-			}
-		}
-		if s.p.Progress != nil && s.seq >= nextProgress {
-			nextProgress = s.seq + s.p.ProgressEvery
-			s.p.Progress(Progress{Records: s.seq, Cycles: s.maxIssue})
-		}
-	}
-	if err := trace.SourceErr(src); err != nil {
-		return s.finish(), fmt.Errorf("core: trace source failed after %d records: %w", s.seq, err)
-	}
-	if s.p.Progress != nil {
-		s.p.Progress(Progress{Records: s.seq, Cycles: s.maxIssue})
-	}
-	if s.p.SelfCheck {
-		s.res.SelfChecks++
-		if e := s.selfCheck(); e != nil {
-			return s.finish(), e
-		}
-	}
-	return s.finish(), nil
-}
 
 // validateRecord rejects records no legal SV8 execution can produce before
 // they can corrupt scheduler state (an out-of-range register would index

@@ -211,3 +211,22 @@ func TestRunIsRunCheckedWrapper(t *testing.T) {
 		t.Errorf("Run cycles %d != RunChecked cycles %d", plain.Cycles, checked.Cycles)
 	}
 }
+
+// TestContradictingPCIsCorrupt: a trace whose record carries another
+// instruction than an earlier record at the same PC is no execution's
+// trace. The run fails with trace.ErrCorruptRecord once it reaches that
+// record, instead of scheduling it under the first record's analysis.
+func TestContradictingPCIsCorrupt(t *testing.T) {
+	b := &tb{}
+	b.add(ldi(1, 0))
+	b.add(aluImm(isa.Add, 1, 1, 1))
+	b.raw(1, aluImm(isa.Sub, 1, 1, 1), 0, false)
+	b.add(aluImm(isa.Add, 1, 1, 1))
+	res, err := RunChecked(context.Background(), b.src(), ConfigD, Params{Width: 4})
+	if !errors.Is(err, trace.ErrCorruptRecord) {
+		t.Fatalf("err = %v, want trace.ErrCorruptRecord", err)
+	}
+	if res.Instructions != 2 {
+		t.Fatalf("scheduled %d instructions before failing, want the 2 before the contradiction", res.Instructions)
+	}
+}

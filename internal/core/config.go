@@ -198,14 +198,5 @@ func (p Params) withDefaults() Params {
 	if p.ProgressEvery <= 0 {
 		p.ProgressEvery = DefaultProgressEvery
 	}
-	if p.Branch == nil {
-		p.Branch = bpred.NewPaper8KB()
-	}
-	if p.Addr == nil {
-		p.Addr = stride.NewPaper()
-	}
-	if p.Value == nil {
-		p.Value = vpred.NewDefault()
-	}
 	return p
 }

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 func TestRoundUpPow2Boundaries(t *testing.T) {
@@ -140,14 +139,11 @@ func TestIssueRingAdvanceAndAt(t *testing.T) {
 // the whole run (~hundreds of thousands for this trace).
 func TestIssueRingMemoryBounded(t *testing.T) {
 	capAfter := func(n int) int {
-		src := synthTrace(n).Reader()
-		s := newSched(ConfigD, Params{Width: 8})
-		var rec trace.Record
-		for src.Next(&rec) {
-			s.visit(&rec)
+		b := oneCell(t, ConfigD, Params{Width: 8})
+		if _, err := b.Run(context.Background(), synthTrace(n).Reader()); err != nil {
+			t.Fatal(err)
 		}
-		s.finish()
-		return s.issue.capacity()
+		return b.bes[0].issue.capacity()
 	}
 	short, long := capAfter(2_000), capAfter(200_000)
 	if short != long {

@@ -499,20 +499,24 @@ func TestMispredictedLoadBehavesLikeBase(t *testing.T) {
 
 // --- cross-cutting properties -----------------------------------------------
 
+// randomTrace draws a random 64-instruction static program, then n
+// dynamic records at random PCs of it, with random addresses and branch
+// outcomes. A PC always carries the same instruction, as in any trace an
+// execution can produce.
 func randomTrace(seed int64, n int) *tb {
 	rng := rand.New(rand.NewSource(seed))
 	b := &tb{}
 	ops := []isa.Op{isa.Add, isa.Sub, isa.And, isa.Or, isa.Xor, isa.Sll, isa.Srl,
 		isa.Mov, isa.Ldi, isa.Mul, isa.Ld, isa.St, isa.Cmp, isa.Beq}
-	for i := 0; i < n; i++ {
+	prog := make([]isa.Instr, 64)
+	for pc := range prog {
 		op := ops[rng.Intn(len(ops))]
 		rd := uint8(rng.Intn(31))
 		rs1 := uint8(rng.Intn(32))
 		rs2 := uint8(rng.Intn(32))
-		pc := uint32(rng.Intn(64))
 		switch op {
 		case isa.Beq:
-			b.raw(pc, isa.Instr{Op: op}, 0, rng.Intn(2) == 0)
+			prog[pc] = isa.Instr{Op: op}
 		case isa.Ld, isa.St:
 			in := isa.Instr{Op: op, Rd: rd, Rs1: rs1}
 			if rng.Intn(2) == 0 {
@@ -521,11 +525,11 @@ func randomTrace(seed int64, n int) *tb {
 			} else {
 				in.Rs2 = rs2
 			}
-			b.raw(pc, in, uint32(rng.Intn(256)*4), false)
+			prog[pc] = in
 		case isa.Ldi:
-			b.raw(pc, isa.Instr{Op: op, Rd: rd, Imm: int32(rng.Intn(100) - 50), HasImm: true}, 0, false)
+			prog[pc] = isa.Instr{Op: op, Rd: rd, Imm: int32(rng.Intn(100) - 50), HasImm: true}
 		case isa.Mov:
-			b.raw(pc, isa.Instr{Op: op, Rd: rd, Rs1: rs1}, 0, false)
+			prog[pc] = isa.Instr{Op: op, Rd: rd, Rs1: rs1}
 		default:
 			in := isa.Instr{Op: op, Rd: rd, Rs1: rs1}
 			if rng.Intn(3) == 0 {
@@ -534,8 +538,12 @@ func randomTrace(seed int64, n int) *tb {
 			} else {
 				in.Rs2 = rs2
 			}
-			b.raw(pc, in, 0, false)
+			prog[pc] = in
 		}
+	}
+	for i := 0; i < n; i++ {
+		pc := uint32(rng.Intn(len(prog)))
+		b.raw(pc, prog[pc], uint32(rng.Intn(256)*4), rng.Intn(2) == 0)
 	}
 	return b
 }

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 // cycleHeap is the reference window: a plain min-heap of in-window issue
@@ -83,22 +81,6 @@ func TestWindowEntryMatchesHeapReference(t *testing.T) {
 	}
 }
 
-// corruptAfter hands out records from src and runs corrupt once, just
-// before the record at index n is read: a mid-run state corruption.
-type corruptAfter struct {
-	src     trace.Source
-	n       int
-	corrupt func()
-}
-
-func (c *corruptAfter) Next(rec *trace.Record) bool {
-	if c.n == 0 {
-		c.corrupt()
-	}
-	c.n--
-	return c.src.Next(rec)
-}
-
 // TestSelfCheckCatchesCorruptWindow is the negative control for the
 // window and bandwidth invariants: corrupting the tie count or a ring
 // count mid-run must fail the run with the named invariant, whether the
@@ -119,9 +101,18 @@ func TestSelfCheckCatchesCorruptWindow(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := newSched(ConfigD, Params{Width: 4, SelfCheck: c.selfCheck, SelfCheckEvery: 1})
-			src := &corruptAfter{src: synthTrace(2_000).Reader(), n: 1_000, corrupt: func() { c.corrupt(s) }}
-			_, err := s.run(context.Background(), src)
+			// The heartbeat at record 1000 corrupts the back end just
+			// before it schedules the record at index 1000.
+			var s *sched
+			b := oneCell(t, ConfigD, Params{Width: 4, SelfCheck: c.selfCheck, SelfCheckEvery: 1,
+				ProgressEvery: 1_000, Progress: func(p Progress) {
+					if p.Records == 1_000 {
+						c.corrupt(s)
+					}
+				}})
+			s = b.bes[0]
+			outs, _ := b.Run(context.Background(), synthTrace(2_000).Reader())
+			err := outs[0].Err
 			var ie *InvariantError
 			if !errors.As(err, &ie) {
 				t.Fatalf("corrupted run returned %v, want *InvariantError", err)
@@ -135,8 +126,8 @@ func TestSelfCheckCatchesCorruptWindow(t *testing.T) {
 		})
 	}
 	// The same run without corruption passes every sweep.
-	s := newSched(ConfigD, Params{Width: 4, SelfCheck: true, SelfCheckEvery: 1})
-	if _, err := s.run(context.Background(), synthTrace(2_000).Reader()); err != nil {
+	if _, err := RunChecked(context.Background(), synthTrace(2_000).Reader(), ConfigD,
+		Params{Width: 4, SelfCheck: true, SelfCheckEvery: 1}); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 }

@@ -29,11 +29,11 @@ const (
 	// PointCacheSim fires on cache-model accesses inside the scheduler's
 	// load path (only when a cache is configured).
 	PointCacheSim = "core.cache.access"
-	// PointCoreRun fires once per scheduled instruction inside
-	// core.RunChecked.
+	// PointCoreRun fires once per instruction each back end of a
+	// core.Bank schedules (core.RunChecked is a bank of one).
 	PointCoreRun = "core.run.visit"
 	// PointExperiment fires at the start of every experiment cell
-	// computation (Runner.Result).
+	// computation (Runner.Result, and each cell of a Prefetch bank).
 	PointExperiment = "experiments.run.result"
 	// PointStoreGet fires on result-store reads behind the serving
 	// layer's circuit breaker (internal/server); chaos campaigns arm it to

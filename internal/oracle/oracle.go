@@ -33,11 +33,17 @@
 //
 //   - Self-sourcing producers: an instruction that overwrites one of its
 //     own source registers (add r1, r1, r2) records *itself* as the
-//     definition of that source, because the rename table is updated before
-//     the source snapshot is taken. The practical effect is that collapsing
-//     through such a producer is never profitable (its operands appear
-//     ready no earlier than its result), so i = i + 1 chains do not
-//     collapse. See newDef.
+//     definition of that source, with its source readiness still 0,
+//     because the rename table is updated before the source snapshot is
+//     taken. This is a known defect, not a neutral choice: collapsing
+//     through the self-snapshot looks free, so a consumer collapses
+//     "through" the same instruction twice and i = i + 1 chains collapse
+//     without bound. After ldi r1, 0, 1000 add r1, r1, 1 run in one cycle
+//     under config C at width 2048 (IPC 1001, as 999 "arri arri arri"
+//     triples); pairs-only collapsing never takes the second step, so the
+//     chain stays at IPC 1.00. Snapshotting first gives IPC 3.00 and 2.00,
+//     the 4-1 and 3-1 device bounds. See newDef, DESIGN.md Section 5 and
+//     core's TestSelfSourcingChainKnownDefect.
 //
 //   - Correctly predicted loads do not commit a collapse group: when
 //     speculation removes the address dependence, the address expression
@@ -315,12 +321,13 @@ func (s *osched) visit(rec *trace.Record) {
 // newDef installs the new definition of register w under ideal renaming and
 // snapshots the writer's own collapsible sources one level deep.
 //
-// Normative aliasing rule (see the package comment): the rename table entry
-// is replaced *before* the source snapshots are taken, so a writer that
-// reads its own destination register snapshots the new definition — itself —
-// with whatever srcReady has accumulated so far. This makes collapsing
-// through self-sourcing producers unprofitable, exactly as the production
-// scheduler behaves.
+// Aliasing rule (see the package comment): the rename table entry is
+// replaced *before* the source snapshots are taken, so a writer that reads
+// its own destination register snapshots the new definition — itself —
+// with whatever srcReady has accumulated so far. Collapsing through that
+// snapshot therefore looks free, exactly as in the production scheduler;
+// this is the known self-sourcing defect the oracle reproduces until both
+// are fixed together.
 func (s *osched) newDef(w uint8, seq, issue int64, in *isa.Instr, inf *info) {
 	d := &s.regs[w]
 	d.seq = seq
