@@ -213,6 +213,41 @@ func TestWatchdogReapsStalledCell(t *testing.T) {
 	}
 }
 
+// TestStallThatRecoversFailsOneCell: one cell's back end sleeps past the
+// stall deadline but wakes within the watchdog's grace period, so its bank
+// stops on the cancellation instead of being abandoned. The cell that was
+// running fails as stalled; its bank-mates, stopped by the same
+// cancellation, re-run and succeed, and the sweep goes on.
+func TestStallThatRecoversFailsOneCell(t *testing.T) {
+	defer faultinject.Reset()
+	r := NewRunner(60).WithWorkers(1)
+	r.Widths = []int{8}
+	r.StallTimeout = 100 * time.Millisecond
+	r.OnCellDone = func(done int) {
+		if done == 1 {
+			// Armed inside the sweep, where no goroutine an earlier test
+			// abandoned can still reach the fault point.
+			faultinject.ArmOnceFunc(faultinject.PointCoreRun, func() error {
+				time.Sleep(150 * time.Millisecond) // noticed at ~100ms; the grace ends at ~200ms
+				return nil
+			}, 500)
+		}
+	}
+	rep, err := PerBenchmarkReport(r, 8)
+	if err != nil {
+		t.Fatalf("a recovered stall aborted the whole experiment: %v", err)
+	}
+	if len(rep.Errs) != 1 {
+		t.Fatalf("%d cell failures, want exactly the stalled one: %v", len(rep.Errs), rep.Errs)
+	}
+	if !errors.Is(rep.Errs[0], watchdog.ErrStalled) || failure.Ended(rep.Errs[0]) {
+		t.Fatalf("cell failure is not a stall: %v", rep.Errs[0])
+	}
+	if strings.Count(rep.Text, "n/a (stalled)") != 1 {
+		t.Fatalf("expected exactly one stalled cell:\n%s", rep.Text)
+	}
+}
+
 // TestPrefetchWithWorkersRace exercises the configurable worker pool with
 // a shared store under the race detector: concurrent cells hashing the
 // same trace and writing distinct entries must be clean.

@@ -133,6 +133,18 @@ func matrixRows() []row {
 		// The rows below arm their fault once: a path that wrongly retried
 		// the cell would succeed on the second run, which the kind column
 		// catches.
+		{name: "stall that recovers within the grace period", point: faultinject.PointCoreRun, kind: failure.Stalled,
+			setup: setup{stall: 100 * time.Millisecond},
+			// Silent for 150ms: the watchdog cancels the cell at ~100ms and
+			// the sleeper wakes before the grace period ends at ~200ms, so
+			// the run stops on the cancellation instead of being abandoned.
+			arm: func(context.CancelFunc) {
+				faultinject.ArmOnceFunc(faultinject.PointCoreRun, func() error {
+					time.Sleep(150 * time.Millisecond)
+					return nil
+				}, 0)
+			},
+			na: map[path]string{clustered: "a Runner with an Executor supervises no stalls, and workers run no watchdog"}},
 		{name: "cell deadline", point: faultinject.PointCoreRun, kind: failure.Deadline,
 			setup: setup{deadline: 50 * time.Millisecond},
 			arm: func(context.CancelFunc) {
