@@ -66,6 +66,9 @@ func run(path string, mixFlag, selfCheck bool, maxSteps int64, timeout time.Dura
 	storeDir string, resume bool, retries int, stall time.Duration,
 	spoolDir string, maxTraceMem int64,
 	cpuProfile, memProfile, benchJSON string) (err error) {
+	if err := cli.CheckSpool(spoolDir); err != nil {
+		return err
+	}
 	ctx, stop := cli.Context(timeout)
 	defer stop()
 

@@ -66,7 +66,7 @@ func main() {
 		metricsOn  = flag.Bool("metrics", true, "serve GET /metrics (Prometheus text) and GET /jobs/{id}/trace")
 		workerMode = flag.Bool("worker", false, "serve as a cluster worker: expose the cell-execution API (POST /cells, GET /workerz); traces regenerate from each cell's spec")
 		coordPeers = flag.String("coordinator", "", "serve as a cluster coordinator: comma-separated worker base URLs (e.g. http://h1:9001,http://h2:9001)")
-		hedgeAfter = flag.Duration("hedge-after", 30*time.Second, "coordinator: speculatively re-dispatch a cell still unresolved after this long (<0 = off)")
+		hedgeAfter = flag.Duration("hedge-after", 30*time.Second, "coordinator: speculatively re-send a bank request still unanswered after this long (<0 = off)")
 		clusterS   = flag.Bool("cluster-soak", false, "run the multi-worker chaos campaign instead of serving")
 	)
 	flag.Parse()
@@ -124,6 +124,9 @@ type options struct {
 }
 
 func serve(logger *log.Logger, o options) error {
+	if err := cli.CheckSpool(o.opt.TraceSpoolDir); err != nil {
+		return err
+	}
 	var st *store.Store
 	if o.storeDir != "" {
 		var err error

@@ -90,6 +90,9 @@ func main() {
 		list()
 		return
 	}
+	if err := cli.CheckSpool(*spoolDir); err != nil {
+		cli.Exit("ddsim", err)
+	}
 
 	ctx, stop := cli.Context(*timeout)
 	defer stop()

@@ -4,7 +4,7 @@ package chaos
 // sweep across three workers while a seeded fault driver kills workers
 // (503s), restarts them (fresh process state — the trace cache is gone,
 // the durable store survives), and partitions one (requests hang until
-// the batch deadline reaps them). The contract under all of that:
+// the request deadline reaps them). The contract under all of that:
 //
 //   - the merged sweep report is byte-identical to an undisturbed
 //     single-process run, with no degraded ("n/a") cells;
@@ -153,8 +153,6 @@ func RunCluster(opt ClusterOptions) (*ClusterSummary, error) {
 	hc := &http.Client{Timeout: 15 * time.Second}
 	coord, err := cluster.New(urls, cluster.Options{
 		Seed:          opt.Seed,
-		BatchSize:     4,
-		Linger:        2 * time.Millisecond,
 		BatchTimeout:  2 * time.Second,
 		HedgeAfter:    150 * time.Millisecond,
 		Retries:       3,
@@ -174,15 +172,16 @@ func RunCluster(opt ClusterOptions) (*ClusterSummary, error) {
 		Coordinator:     coord,
 	})
 	coord.Start()
-	srv.Start()
 	ts := httptest.NewServer(srv.Handler())
 	c := newClient(ts.URL)
 	defer c.c.CloseIdleConnections()
 	defer hc.CloseIdleConnections()
 
-	// Submit the full Table 1 grid (the SweepSpec zero value), then
-	// immediately burst single-job submissions past the queue to force
-	// shedding while the sweep occupies the queue.
+	// Submit the full Table 1 grid (the SweepSpec zero value), then burst
+	// single-job submissions past the queue to force shedding while the
+	// sweep occupies the queue. The server's workers start after the
+	// burst: a queue that drains as fast as the burst fills it (cells
+	// cost about a millisecond at this scale) would shed nothing.
 	code, body, _, err := c.post("/sweeps", server.SweepSpec{})
 	if err != nil || code != http.StatusAccepted {
 		sum.Violations = append(sum.Violations, fmt.Sprintf("sweep submit: code %d err %v", code, err))
@@ -218,6 +217,7 @@ func RunCluster(opt ClusterOptions) (*ClusterSummary, error) {
 	if sum.Shed == 0 {
 		sum.Violations = append(sum.Violations, "burst past a sweep-filled queue was never shed")
 	}
+	srv.Start()
 
 	// Fault driver: seeded kills, restarts, partitions, heals — at random
 	// workers on a 100-300ms cadence until the sweep completes. Local
@@ -348,8 +348,8 @@ func RunCluster(opt ClusterOptions) (*ClusterSummary, error) {
 		wts.Close()
 	}
 
-	// Goroutine settle: coordinator batchers, probe loop, hedge drains,
-	// worker pools — all gone.
+	// Goroutine settle: coordinator requests, probe loop, worker pools —
+	// all gone.
 	settled := false
 	for settle := time.Now().Add(15 * time.Second); time.Now().Before(settle); {
 		if runtime.NumGoroutine() <= baseline+4 {

@@ -47,6 +47,20 @@ func OpenStore(dir string, resume bool) (*store.Store, error) {
 	return store.Open(dir)
 }
 
+// CheckSpool checks the -spool flag before any cell runs: empty means no
+// spool, and anything else must name an existing directory. Without the
+// check every cell would fail at creating its spool file, and a sweep
+// would render nothing but n/a.
+func CheckSpool(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		return Usagef("-spool: directory %q does not exist", dir)
+	}
+	return nil
+}
+
 // ReportStore prints the store's hit/miss summary to stderr (no-op on a
 // nil store). role, when non-empty, names the process's cluster role
 // ("worker", "coordinator peers=3") so multi-process logs attribute store
@@ -145,28 +159,32 @@ func progressTo(w io.Writer, tty bool, tool string, now func() time.Time) (hook 
 }
 
 // CellProgress returns a printer for experiments.Runner.OnCellDone that
-// renders the number of completed simulation cells to stderr as a
-// statusLine, plus a done func to call once after the sweep. The Runner's
-// workers call the printer concurrently and their counts can arrive out of
-// order, so a count at or below one already taken is dropped: the display
-// never goes backwards.
-func CellProgress(tool string) (hook func(done int), done func()) {
+// renders the numbers of completed and failed simulation cells to stderr
+// as a statusLine, plus a done func to call once after the sweep. The
+// Runner's workers call the printer concurrently and their counts can
+// arrive out of order, so a count at or below one already taken is
+// dropped: the display never goes backwards.
+func CellProgress(tool string) (hook func(done, failed int), done func()) {
 	return cellProgressTo(os.Stderr, stderrIsTTY(), tool, time.Now)
 }
 
 // cellProgressTo is CellProgress with the writer, TTY-ness, and clock
 // injected for tests.
-func cellProgressTo(w io.Writer, tty bool, tool string, now func() time.Time) (hook func(int), done func()) {
+func cellProgressTo(w io.Writer, tty bool, tool string, now func() time.Time) (hook func(done, failed int), done func()) {
 	s := &statusLine{w: w, tty: tty, now: now}
 	high := 0
-	hook = func(n int) {
+	hook = func(n, failed int) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if n <= high {
 			return
 		}
 		high = n
-		s.render(fmt.Sprintf("%s: %d simulation cell(s) completed", tool, n))
+		line := fmt.Sprintf("%s: %d simulation cell(s) completed", tool, n-failed)
+		if failed > 0 {
+			line += fmt.Sprintf(", %d failed", failed)
+		}
+		s.render(line)
 	}
 	return hook, s.end
 }

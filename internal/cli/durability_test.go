@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,7 +236,7 @@ func cellCounts(t *testing.T, lines []string) []int {
 
 // driveCells calls hook the way experiments.Runner's workers call
 // OnCellDone: concurrently, each with the running total it just took.
-func driveCells(hook func(int), workers, perWorker int) int {
+func driveCells(hook func(done, failed int), workers, perWorker int) int {
 	var total atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -242,12 +244,49 @@ func driveCells(hook func(int), workers, perWorker int) int {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				hook(int(total.Add(1)))
+				hook(int(total.Add(1)), 0)
 			}
 		}()
 	}
 	wg.Wait()
 	return int(total.Load())
+}
+
+// TestCellProgressCountsFailedCellsApart: a failed cell is not a
+// completed one.
+func TestCellProgressCountsFailedCellsApart(t *testing.T) {
+	var buf bytes.Buffer
+	hook, done := cellProgressTo(&buf, true, "tool", time.Now)
+	hook(1, 0)
+	hook(3, 2)
+	done()
+	want := "\rtool: 1 simulation cell(s) completed\rtool: 1 simulation cell(s) completed, 2 failed\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("progress %q, want %q", got, want)
+	}
+}
+
+// TestCheckSpool: -spool must name an existing directory, checked before
+// any cell runs; a missing one is a usage error (exit 2).
+func TestCheckSpool(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "f")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		dir  string
+		code int
+	}{
+		{"", ExitOK},
+		{dir, ExitOK},
+		{filepath.Join(dir, "missing"), ExitUsage},
+		{file, ExitUsage},
+	} {
+		if got := Code(CheckSpool(tc.dir)); got != tc.code {
+			t.Errorf("CheckSpool(%q): exit %d, want %d", tc.dir, got, tc.code)
+		}
+	}
 }
 
 func TestCellProgressTTYSerializedAndMonotone(t *testing.T) {

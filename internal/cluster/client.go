@@ -1,6 +1,6 @@
 package cluster
 
-// workerClient is the coordinator's HTTP stub for one worker: batch
+// workerClient is the coordinator's HTTP stub for one worker: bank
 // execution and health probes. Transport failures are
 // wrapped in transportError so the dispatcher can tell "the worker never
 // answered" (retry elsewhere, feed the health tracker) from "the worker
@@ -14,9 +14,10 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 )
 
-// transportError is a failure to obtain a batch response at all — dial
+// transportError is a failure to obtain a bank response at all — dial
 // errors, timeouts, non-200 statuses. These say nothing about the cells,
 // so they are always retriable on another worker.
 type transportError struct {
@@ -42,11 +43,12 @@ func newWorkerClient(name, url string, hc *http.Client) *workerClient {
 	return &workerClient{name: name, url: strings.TrimRight(url, "/"), hc: hc}
 }
 
-// ExecBatch POSTs a cell batch and decodes the positional outcomes.
-func (c *workerClient) ExecBatch(ctx context.Context, cells []CellSpec) ([]CellOutcome, error) {
-	body, err := json.Marshal(batchRequest{Cells: cells})
+// ExecBank POSTs a bank of cells with its per-cell budget and decodes the
+// positional outcomes.
+func (c *workerClient) ExecBank(ctx context.Context, cells []CellSpec, budget time.Duration) ([]CellOutcome, error) {
+	body, err := json.Marshal(bankRequest{Cells: cells, Budget: budget})
 	if err != nil {
-		return nil, fmt.Errorf("cluster: encoding batch: %w", err)
+		return nil, fmt.Errorf("cluster: encoding bank: %w", err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url+"/cells", bytes.NewReader(body))
 	if err != nil {
@@ -61,7 +63,7 @@ func (c *workerClient) ExecBatch(ctx context.Context, cells []CellSpec) ([]CellO
 	if resp.StatusCode != http.StatusOK {
 		return nil, &transportError{worker: c.name, err: httpStatusError(resp)}
 	}
-	var br batchResponse
+	var br bankResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxCellsBody)).Decode(&br); err != nil {
 		return nil, &transportError{worker: c.name, err: fmt.Errorf("decoding outcomes: %w", err)}
 	}

@@ -9,15 +9,16 @@
 // coordinator speculates on worker availability the same way the simulator
 // speculates on data dependences — optimistically, with cheap recovery:
 //
-//   - a deterministic rendezvous partitioner (partition.go) assigns every
-//     cell to exactly one owning worker for a fixed (workers, seed), so
-//     a worker keeps seeing the traces it already resolved and a lost
-//     worker moves only its own cells;
-//   - the dispatcher (coordinator.go) batches cells per worker, sends each
-//     batch under its own deadline, retries transport-class failures on the
-//     least-loaded healthy peer, and hedges stragglers with one speculative
-//     re-dispatch — the first response wins, the loser is accounted as
-//     wasted speculation (cluster_hedge_wasted_total), never as a result;
+//   - the unit shipped is a bank: cells that share one trace, sent as one
+//     request and run by the worker as one core.Bank over one open of the
+//     trace;
+//   - the dispatcher (coordinator.go) sends each bank to the least-loaded
+//     usable worker, preferring the trace's rendezvous owner among those
+//     (partition.go), under the caller's context and its own deadline; it
+//     re-sends transiently failed cells as a smaller bank to the next-best
+//     worker, and hedges a straggling request with one speculative copy —
+//     the first response wins, the loser is accounted as wasted
+//     speculation (cluster_hedge_wasted_total), never as a result;
 //   - the spec is the transport: a cell names its trace's generator (a
 //     workload at a scale, or a tracegen profile, seed and length) plus the
 //     content hash the coordinator computed, and the worker regenerates
@@ -26,9 +27,9 @@
 //   - a health tracker (health.go) feeds probe and dispatch outcomes into
 //     per-worker state, quarantining flapping workers so a worker that
 //     oscillates cannot churn the dispatch plan;
-//   - when no worker is healthy — or retries are exhausted — execution
-//     falls back to the local simulator transparently: the cluster can
-//     degrade to exactly the single-process behavior it scaled up from.
+//   - when no worker is healthy — or retries are exhausted — the cells
+//     left run as one local bank: the cluster can degrade to exactly the
+//     single-process behavior it scaled up from.
 //
 // Simulation is deterministic, so it does not matter *which* worker (or the
 // local fallback) computes a cell: merging is just placing outcomes back
@@ -45,18 +46,20 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
+	"repro/internal/watchdog"
 	"repro/internal/workloads"
 )
 
-// maxBatchCells bounds one POST /cells body — far above the sweep grids we
-// actually ship (tens of cells), low enough that a malformed request can't
-// park unbounded work on one worker.
-const maxBatchCells = 1024
+// maxBankCells bounds one POST /cells body — far above the banks we
+// actually ship (at most a workload's 25 paper cells), low enough that a
+// malformed request can't park unbounded work on one worker.
+const maxBankCells = 1024
 
 // maxCellsBody bounds the JSON bodies on the cell endpoints (specs and
 // outcomes are small; results are a few KiB each).
@@ -129,6 +132,17 @@ func (c CellSpec) provider(ctx context.Context, opt workloads.ProviderOptions) (
 	return w.Provider(ctx, c.Scale, opt)
 }
 
+// traceKey names the spec's trace: its generator plus its content hash.
+// It is the rendezvous key a bank is dispatched by, and the worker groups a
+// request's cells into banks by it.
+func (c CellSpec) traceKey() string {
+	key := fmt.Sprintf("%s|%s|%d", c.TraceHash, c.Workload, c.Scale)
+	if g := c.Tracegen; g != nil {
+		key += fmt.Sprintf("|%s|%d|%d", g.Profile, g.Seed, g.Records)
+	}
+	return key
+}
+
 // hash parses the spec's trace hash. The coordinator always writes it with
 // hashString, so a parse failure is a malformed request, not corruption.
 func (c CellSpec) hash() (uint64, error) {
@@ -142,10 +156,12 @@ func (c CellSpec) hash() (uint64, error) {
 // hashString renders a trace content hash for the wire.
 func hashString(h uint64) string { return fmt.Sprintf("%016x", h) }
 
-// batchRequest is the POST /cells body: a batch of cells executed under one
-// deadline.
-type batchRequest struct {
-	Cells []CellSpec `json:"cells"`
+// bankRequest is the POST /cells body: a bank of cells and the budget that
+// bounds each cell's attributed simulation time (0 = none), as
+// core.NewBank's budget does locally.
+type bankRequest struct {
+	Cells  []CellSpec    `json:"cells"`
+	Budget time.Duration `json:"budget_ns,omitempty"`
 }
 
 // CellOutcome is one cell's result on the wire. Exactly one of Result or
@@ -162,10 +178,54 @@ type CellOutcome struct {
 	// FromStore reports the result was served from the worker's durable
 	// store rather than computed.
 	FromStore bool `json:"from_store,omitempty"`
+	// Seconds is the time the worker's bank attributed to the cell
+	// (core.Outcome.Seconds); 0 for a cell that never reached a bank.
+	Seconds float64 `json:"seconds,omitempty"`
 }
 
-// batchResponse is the POST /cells response: outcomes[i] answers cells[i].
-type batchResponse struct {
+// outcome decodes a wire outcome into the one a local bank would give.
+func (o CellOutcome) outcome() core.Outcome {
+	if o.Error != nil {
+		return core.Outcome{Err: o.Error, Seconds: o.Seconds}
+	}
+	res, err := unmarshalResult(o.Result)
+	return core.Outcome{Result: res, Err: err, Seconds: o.Seconds}
+}
+
+// runBank runs specs, which share one trace, as one core.Bank over one
+// open of prov under budget, as the worker does and as the coordinator's
+// local fallback does. A bank that cannot start, or a panic outside the
+// back ends, fails every cell alike (as a *watchdog.PanicError for the
+// panic, as in a local Runner).
+func runBank(ctx context.Context, prov trace.Provider, specs []CellSpec, budget time.Duration) []core.Outcome {
+	outs, err := watchdog.Run(ctx, 0, func(ctx context.Context, _ func()) ([]core.Outcome, error) {
+		cells := make([]core.Cell, len(specs))
+		for i, s := range specs {
+			cells[i] = core.Cell{Config: s.Config, Params: core.Params{Width: s.Width, WindowSize: s.Window, SelfCheck: s.SelfCheck}}
+		}
+		b, err := core.NewBank(cells, budget)
+		if err != nil {
+			return nil, err
+		}
+		src, err := prov.Open()
+		if err != nil {
+			return nil, fmt.Errorf("cluster: opening trace: %w", err)
+		}
+		defer trace.CloseSource(src)
+		outs, _ := b.Run(ctx, src) // a bank-wide error is every live cell's Err
+		return outs, nil
+	})
+	if err != nil {
+		outs = make([]core.Outcome, len(specs))
+		for i := range outs {
+			outs[i].Err = err
+		}
+	}
+	return outs
+}
+
+// bankResponse is the POST /cells response: outcomes[i] answers cells[i].
+type bankResponse struct {
 	Outcomes []CellOutcome `json:"outcomes"`
 }
 

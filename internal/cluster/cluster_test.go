@@ -30,8 +30,6 @@ const testScale = 40
 func testOpts() Options {
 	return Options{
 		Seed:       1,
-		BatchSize:  4,
-		Linger:     time.Millisecond,
 		HedgeAfter: -1, // off unless the test is about hedging
 		ProbeEvery: -1, // dispatch outcomes drive health in tests
 		Retries:    2,
@@ -241,10 +239,33 @@ func TestTransportFailureFailsOverToHealthyPeer(t *testing.T) {
 	}
 }
 
+// traceOwner returns the index, among n workers, of the rendezvous owner of
+// a workload's trace at testScale: the worker an idle cluster sends its
+// banks to.
+func traceOwner(t *testing.T, w *workloads.Workload, n int) int {
+	t.Helper()
+	spec := CellSpec{Workload: w.Name, Scale: testScale}
+	prov, err := spec.provider(context.Background(), workloads.ProviderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _, err := prov.ContentHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.TraceHash = hashString(h)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("w%d", i)
+	}
+	return Owner(spec.traceKey(), names, testOpts().Seed)
+}
+
 func TestHedgeAccountingIdentityHoldsAfterClose(t *testing.T) {
-	// Worker 0 is slow (but correct); worker 1 is fast. With an aggressive
-	// hedge timer, stragglers get speculatively re-dispatched, and the
-	// loser of each race must land in hedge_wasted — never in a result.
+	// The trace's owner is slow (but correct); its peer is fast. With an
+	// aggressive hedge timer, stragglers get speculatively re-dispatched,
+	// and the loser of each race must land in hedge_wasted — never in a
+	// result.
 	slowWk := NewWorker(WorkerOptions{})
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/cells" {
@@ -257,15 +278,16 @@ func TestHedgeAccountingIdentityHoldsAfterClose(t *testing.T) {
 	fast := httptest.NewServer(fastWk.Handler())
 	defer fast.Close()
 
+	w := mustWorkload(t, "compress")
+	urls := []string{fast.URL, fast.URL}
+	urls[traceOwner(t, w, 2)] = slow.URL
 	opts := testOpts()
 	opts.HedgeAfter = 30 * time.Millisecond
-	opts.BatchSize = 1
-	coord, err := New([]string{slow.URL, fast.URL}, opts)
+	coord, err := New(urls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	w := mustWorkload(t, "compress")
 	for _, cfgName := range []string{"A", "B", "C", "D", "E"} {
 		cfg := mustConfig(t, cfgName)
 		got, err := coord.ExecuteCell(context.Background(), w, cfg, 4, testScale, false)
@@ -302,9 +324,7 @@ func TestPermanentRemoteErrorSurfacesWithoutRetryOrFallback(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	opts := testOpts()
-	opts.BatchSize = 1
-	coord, err := New([]string{ts.URL}, opts)
+	coord, err := New([]string{ts.URL}, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,14 +501,10 @@ func TestCallerCancellationIsNotARetry(t *testing.T) {
 	if n := coord.dispatched.With("w0").Value(); n != 1 {
 		t.Errorf("cluster_dispatched_total = %d, want 1", n)
 	}
-	// Let the worker finish the abandoned cell before the server closes.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		s := coord.StatusAll()[0]
-		if s.Dispatched == s.Completed+s.Failed+s.HedgeWasted {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the dispatch never settled")
-		}
+	// The request went out under the caller's context, so it is accounted
+	// by the time the call returns.
+	if s := coord.StatusAll()[0]; s.Dispatched != s.Completed+s.Failed+s.HedgeWasted {
+		t.Errorf("dispatched %d != completed %d + failed %d + hedge_wasted %d",
+			s.Dispatched, s.Completed, s.Failed, s.HedgeWasted)
 	}
 }

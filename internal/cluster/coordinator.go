@@ -1,20 +1,25 @@
 package cluster
 
 // Coordinator: the dispatch half of the compute plane. It implements the
-// experiments.Executor seam, so the sweep runner's caching, taxonomy
-// retry, and report rendering are untouched — only the "simulate" step
-// routes over the wire:
+// experiments.Executor seam and its bank extension, so the sweep runner's
+// caching, taxonomy retry, and report rendering are untouched — only the
+// "simulate" step routes over the wire, one bank per request:
 //
-//	owner  := rendezvous(cellKey, workers, seed)   // deterministic affinity
-//	target := owner if usable, else least-loaded usable peer
-//	outcome := batch-dispatch(target) with deadline, retry, one hedge
-//	          (the worker regenerates the trace the spec names)
-//	fallback: local simulation when no worker is usable or retries exhaust
+//	key    := the bank's trace (generator spec + content hash)
+//	target := among the usable workers with the fewest cells in flight,
+//	          the trace's rendezvous owner
+//	outcomes := POST /cells under the caller's context and a deadline,
+//	          hedged once (the worker regenerates the trace the spec names
+//	          and runs the cells as one bank)
+//	retry:    transiently failed cells, as a smaller bank, on the
+//	          next-best worker
+//	fallback: the cells left after Retries, as one local bank
 //
 // Every dispatched cell resolves into exactly one accounting bucket —
-// completed (response consumed), failed (transport error or discarded
-// failure), or hedge_wasted (speculative duplicate lost the race) — so at
-// quiescence, per worker:
+// completed (response consumed), failed (transport failure), or
+// hedge_wasted (the losing copy of a hedged request) — and every request
+// is accounted before the call that sent it returns, so whenever no call
+// is in flight, per worker:
 //
 //	cluster_dispatched_total == cluster_completed_total
 //	                          + cluster_failed_total
@@ -24,6 +29,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -32,8 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/metrics"
-	"repro/internal/trace"
-	"repro/internal/watchdog"
 	"repro/internal/workloads"
 )
 
@@ -42,20 +46,16 @@ type Options struct {
 	// Seed feeds the rendezvous partitioner; a fixed seed shards a fixed
 	// grid identically on every run.
 	Seed int64
-	// BatchSize flushes a worker's pending cells at this count (default 8).
-	BatchSize int
-	// Linger flushes a non-full batch after this long (default 10ms).
-	Linger time.Duration
-	// BatchTimeout bounds one batch round trip (default 2m — generous;
-	// per-cell budgets belong to the runner's CellTimeout).
+	// BatchTimeout bounds one bank request's round trip (default 2m —
+	// generous; per-cell budgets belong to the runner's CellTimeout).
 	BatchTimeout time.Duration
-	// HedgeAfter launches one speculative duplicate of a cell on another
-	// worker if the first copy has not resolved after this long
-	// (default 30s; < 0 disables hedging).
+	// HedgeAfter sends one speculative copy of a bank request to another
+	// worker if the first has not answered after this long (default 30s;
+	// < 0 disables hedging).
 	HedgeAfter time.Duration
-	// Retries is the number of re-dispatches after a transport failure or
+	// Retries is the number of re-sends after a transport failure or
 	// transient remote failure (default 2). Permanent remote failures are
-	// never re-dispatched; exhausted retries fall back to local execution.
+	// never re-sent; cells left when retries are exhausted run locally.
 	Retries int
 	// ProbeEvery is the health-probe period (default 3s; < 0 disables the
 	// probe loop — dispatch outcomes still feed the tracker).
@@ -66,12 +66,8 @@ type Options struct {
 	FlapThreshold int
 	QuarantineFor time.Duration
 	// Client is the HTTP client for worker calls; nil means a client with
-	// a 3-minute overall timeout (batches carry their own deadlines).
+	// a 3-minute overall timeout (requests carry their own deadlines).
 	Client *http.Client
-	// Store, when non-nil, is consulted before dispatching (and written
-	// after local fallback) — normally nil, because the runner above the
-	// Executor seam already owns the store.
-	Store ResultStore
 	// TraceSpoolDir routes the coordinator's own trace generation (for
 	// hashing and local fallback) through an on-disk spool
 	// (workloads.ProviderOptions.SpoolDir).
@@ -84,12 +80,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 8
-	}
-	if o.Linger <= 0 {
-		o.Linger = 10 * time.Millisecond
-	}
 	if o.BatchTimeout <= 0 {
 		o.BatchTimeout = 2 * time.Minute
 	}
@@ -112,9 +102,12 @@ func (o *Options) fill() {
 	}
 }
 
-// Coordinator shards cells across workers and merges outcomes. Create with
-// New, optionally Instrument on a shared registry, then Start; Close waits
-// for in-flight dispatches so the accounting identity holds at return.
+// errBankTimeout is the cause of a request that outlived BatchTimeout.
+var errBankTimeout = errors.New("cluster: bank request timed out")
+
+// Coordinator shards banks across workers and merges outcomes. Create
+// with New, optionally Instrument on a shared registry, then Start; Close
+// stops the probe loop and cancels every request still in flight.
 type Coordinator struct {
 	opt     Options
 	names   []string // "w0".."wN" — stable labels for partitioning and metrics
@@ -124,9 +117,7 @@ type Coordinator struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup // flush + drain + probe goroutines
-
-	batchers map[string]*batcher
+	wg     sync.WaitGroup // the probe loop
 
 	// metric handles (rebound by Instrument)
 	dispatched  *metrics.CounterVec // cluster_dispatched_total{worker}
@@ -151,18 +142,16 @@ func New(urls []string, opt Options) (*Coordinator, error) {
 	opt.fill()
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		opt:      opt,
-		clients:  make(map[string]*workerClient, len(urls)),
-		batchers: make(map[string]*batcher, len(urls)),
-		ctx:      ctx,
-		cancel:   cancel,
+		opt:     opt,
+		clients: make(map[string]*workerClient, len(urls)),
+		ctx:     ctx,
+		cancel:  cancel,
 	}
 	for i, u := range urls {
 		name := fmt.Sprintf("w%d", i)
 		c.names = append(c.names, name)
 		c.urls = append(c.urls, u)
 		c.clients[name] = newWorkerClient(name, u, opt.Client)
-		c.batchers[name] = newBatcher(c, name)
 	}
 	c.health = newHealthTracker(c.names, healthConfig{
 		FailThreshold: opt.FailThreshold, FlapWindow: opt.FlapWindow,
@@ -245,14 +234,10 @@ func (c *Coordinator) probeAll() {
 	wg.Wait()
 }
 
-// Close stops the probe loop, flushes and waits for every in-flight
-// dispatch, and only then returns — the point at which the accounting
-// identity is guaranteed to hold.
+// Close stops the probe loop and cancels every request still in flight;
+// their callers account them before they return.
 func (c *Coordinator) Close() {
 	c.cancel()
-	for _, b := range c.batchers {
-		b.stop()
-	}
 	c.wg.Wait()
 }
 
@@ -289,346 +274,242 @@ func (c *Coordinator) StatusAll() []Status {
 // ---------------------------------------------------------------------------
 // Executor seam
 
-// ExecuteCell implements experiments.Executor: resolve one sweep cell
-// through the cluster. Only the (workload, scale) spec and the trace's
-// content hash travel; workers regenerate the trace themselves.
+// ExecuteCell implements experiments.Executor: one sweep cell, as a bank
+// of one.
 func (c *Coordinator) ExecuteCell(ctx context.Context, w *workloads.Workload, cfg core.Config, width, scale int, selfCheck bool) (*core.Result, error) {
+	o := c.ExecuteBank(ctx, w, scale, []core.Cell{{Config: cfg, Params: core.Params{Width: width, SelfCheck: selfCheck}}}, 0)[0]
+	return o.Result, o.Err
+}
+
+// ExecuteBank implements experiments.BankExecutor: cells of one workload
+// run as one bank, as core.NewBank(cells, budget) and Bank.Run would run
+// them locally. Of each cell's Params, Width, WindowSize and SelfCheck
+// cross the wire. Only the (workload, scale) spec and the trace's content
+// hash travel; workers regenerate the trace themselves.
+func (c *Coordinator) ExecuteBank(ctx context.Context, w *workloads.Workload, scale int, cells []core.Cell, budget time.Duration) []core.Outcome {
+	if len(cells) == 0 {
+		return nil
+	}
 	if scale <= 0 {
 		scale = w.DefaultScale
 	}
-	return c.execute(ctx, CellSpec{
-		Config: cfg, Width: width, Scale: scale, SelfCheck: selfCheck, Workload: w.Name,
-	})
+	specs := make([]CellSpec, len(cells))
+	for i, cl := range cells {
+		specs[i] = CellSpec{Config: cl.Config, Width: cl.Params.Width, Window: cl.Params.WindowSize,
+			Scale: scale, SelfCheck: cl.Params.SelfCheck, Workload: w.Name}
+	}
+	return c.execute(ctx, specs, budget)
 }
 
-// cellKey is the partitioner input: every field that distinguishes one
-// cell from another, so the owner assignment is a pure function of the
-// cell itself.
-func (s CellSpec) cellKey() string {
-	return fmt.Sprintf("%s|%s|%d|%d|%d|%t", s.TraceHash, s.Config.Fingerprint(), s.Width, s.Window, s.Scale, s.SelfCheck)
-}
-
-// execute routes one cell spec, which names its generator and carries a
-// Scale >= 1, through the cluster: it resolves the generator under the
+// execute routes a bank — cell specs that name one generator, each with a
+// Scale >= 1 — through the cluster. It resolves the generator under the
 // coordinator's own trace-plane options, fills in TraceHash, and
-// dispatches.
-func (c *Coordinator) execute(ctx context.Context, spec CellSpec) (*core.Result, error) {
-	prov, err := spec.provider(ctx, workloads.ProviderOptions{
+// dispatches. A result or a permanent failure settles its cell; the cells
+// left re-send together. Each cell's Seconds is the time its bank
+// attributed to it plus an equal share of the rest of the call, so the
+// cells sum to the call's time, as a local bank's cells sum to the bank's.
+func (c *Coordinator) execute(ctx context.Context, specs []CellSpec, budget time.Duration) []core.Outcome {
+	start := time.Now()
+	outs := make([]core.Outcome, len(specs))
+	defer func() { spread(outs, time.Since(start).Seconds()) }()
+	prov, err := specs[0].provider(ctx, workloads.ProviderOptions{
 		SpoolDir: c.opt.TraceSpoolDir, MaxMem: c.opt.MaxTraceMem})
-	if err != nil {
-		return nil, err
+	var h uint64
+	if err == nil {
+		h, _, err = prov.ContentHash()
 	}
-	h, _, err := prov.ContentHash()
 	if err != nil {
-		return nil, err
-	}
-	spec.TraceHash = hashString(h)
-	key := spec.cellKey()
-
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		for i := range outs {
+			outs[i].Err = err
 		}
-		target := c.pickWorker(key, attempt)
+		return outs
+	}
+	for i := range specs {
+		specs[i].TraceHash = hashString(h)
+	}
+	key := specs[0].traceKey()
+
+	todo := make([]int, len(specs))
+	for i := range todo {
+		todo[i] = i
+	}
+	last := ""
+	for attempt := 0; attempt <= c.opt.Retries && len(todo) > 0 && ctx.Err() == nil; attempt++ {
+		target := c.pick(key, last)
 		if target == "" {
 			break
 		}
-		out, err := c.sendCellHedged(ctx, target, spec)
-		if err != nil && ctx.Err() != nil {
-			// The caller gave up mid-dispatch: nothing failed, so
-			// nothing is retried.
-			return nil, err
+		r := c.sendHedged(ctx, key, target, subset(specs, todo), budget)
+		if r.err != nil && ctx.Err() != nil {
+			break // the caller gave up mid-dispatch: nothing failed, so nothing is retried
 		}
-		if err == nil {
-			if out.Error == nil {
-				return unmarshalResult(out.Result)
-			}
-			// A permanent kind would fail the same way anywhere: surface
-			// it to the runner unchanged. The one exception is a
-			// worker-side cancellation (the worker's request ended, not
-			// ours — ctx is checked above), which moves to a peer.
-			if k := out.Error.Kind; k.Permanent() && k != failure.Canceled {
-				return nil, out.Error
+		var rest []int
+		for k, i := range todo {
+			if r.err == nil && r.outs[k].settles() {
+				outs[i] = r.outs[k].outcome()
+			} else {
+				// A transport failure (health already observed) or a
+				// transient remote one — a worker that cannot reproduce
+				// the trace included: try the next-best peer.
+				rest = append(rest, i)
 			}
 		}
-		// A transport failure (health already observed inside the
-		// batcher) or a transient remote one — a worker that cannot
-		// reproduce the trace included: try the next-best peer.
-		c.retriesCtr.Inc()
+		c.retriesCtr.Add(int64(len(rest)))
+		todo, last = rest, r.worker
 	}
-	// No usable worker, or retries exhausted — the cluster degrades to
-	// exactly the single-process behavior it scaled up from.
-	return c.localFallback(ctx, prov, spec)
+	switch {
+	case len(todo) == 0:
+	case ctx.Err() != nil:
+		for _, i := range todo {
+			outs[i].Err = ctx.Err()
+		}
+	default:
+		// No usable worker, or retries exhausted — the cluster degrades to
+		// exactly the single-process behavior it scaled up from.
+		c.fallbacks.Add(int64(len(todo)))
+		for k, o := range runBank(ctx, prov, subset(specs, todo), budget) {
+			outs[todo[k]] = o
+		}
+	}
+	return outs
 }
 
-// pickWorker chooses the dispatch target for one cell: the rendezvous
-// owner when it is usable and this is the first try, otherwise the
-// least-loaded usable worker (excluding nobody — a retry may legitimately
-// land on the owner again if it recovered). Empty string means "no usable
-// worker": the caller falls back to local execution.
-func (c *Coordinator) pickWorker(key string, attempt int) string {
-	usable := c.health.UsableWorkers(c.names)
-	if len(usable) == 0 {
+// settles reports whether a remote outcome is final: a result, or a
+// permanent kind, which would fail the same way anywhere. The one
+// exception is a worker-side cancellation (the worker's request ended, not
+// the caller's), which moves to a peer.
+func (o CellOutcome) settles() bool {
+	return o.Error == nil || (o.Error.Kind.Permanent() && o.Error.Kind != failure.Canceled)
+}
+
+// subset returns the specs at the given indices.
+func subset(specs []CellSpec, at []int) []CellSpec {
+	out := make([]CellSpec, len(at))
+	for k, i := range at {
+		out[k] = specs[i]
+	}
+	return out
+}
+
+// spread gives each cell an equal share of the call's time that no bank
+// attributed to a cell.
+func spread(outs []core.Outcome, wall float64) {
+	rest := wall
+	for _, o := range outs {
+		rest -= o.Seconds
+	}
+	share := max(rest, 0) / float64(len(outs))
+	for i := range outs {
+		outs[i].Seconds += share
+	}
+}
+
+// pick chooses a bank's target among the usable workers: those with the
+// fewest cells in flight, and among them the trace's rendezvous owner. So
+// an idle cluster keeps trace affinity, and no bank queues behind another
+// while a worker sits idle. avoid, the worker a retry or a hedge moves
+// away from, is passed over while another worker is usable. Empty string
+// means "no usable worker": the caller falls back to local execution.
+func (c *Coordinator) pick(key, avoid string) string {
+	var least []string
+	var load int64
+	for _, n := range c.health.UsableWorkers(c.names) {
+		if n == avoid {
+			continue
+		}
+		l := c.inflight.With(n).Value()
+		if len(least) == 0 || l < load {
+			least, load = least[:0], l
+		}
+		if l == load {
+			least = append(least, n)
+		}
+	}
+	if len(least) == 0 {
+		if avoid != "" && c.health.Usable(avoid) {
+			return avoid
+		}
 		return ""
 	}
-	if attempt == 0 {
-		owner := c.names[Owner(key, c.names, c.opt.Seed)]
-		if c.health.Usable(owner) {
-			return owner
-		}
-	}
-	return c.leastLoaded(usable)
-}
-
-// leastLoaded returns the usable worker with the fewest in-flight cells,
-// ties toward partition order (deterministic).
-func (c *Coordinator) leastLoaded(usable []string) string {
-	best, bestLoad := usable[0], c.inflight.With(usable[0]).Value()
-	for _, n := range usable[1:] {
-		if l := c.inflight.With(n).Value(); l < bestLoad {
-			best, bestLoad = n, l
-		}
-	}
-	return best
-}
-
-// hedgePick returns the least-loaded usable worker other than primary, or
-// "" when no distinct peer is usable.
-func (c *Coordinator) hedgePick(primary string) string {
-	usable := c.health.UsableWorkers(c.names)
-	peers := usable[:0:0]
-	for _, n := range usable {
-		if n != primary {
-			peers = append(peers, n)
-		}
-	}
-	if len(peers) == 0 {
-		return ""
-	}
-	return c.leastLoaded(peers)
-}
-
-// localFallback executes the cell in-process — the transparent degradation
-// path when the cluster cannot help. A panic returns as a
-// *watchdog.PanicError, as it does in a local Runner and on a worker.
-func (c *Coordinator) localFallback(ctx context.Context, prov trace.Provider, spec CellSpec) (*core.Result, error) {
-	c.fallbacks.Inc()
-	return watchdog.Run(ctx, 0, func(ctx context.Context, _ func()) (*core.Result, error) {
-		src, err := prov.Open()
-		if err != nil {
-			return nil, err
-		}
-		defer trace.CloseSource(src)
-		return core.RunChecked(ctx, src, spec.Config,
-			core.Params{Width: spec.Width, WindowSize: spec.Window, SelfCheck: spec.SelfCheck})
-	})
+	return least[Owner(key, least, c.opt.Seed)]
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch: per-worker batching, hedged sends, accounting
+// Dispatch: hedged bank requests, accounting
 
-// cellSend is one copy of one cell in flight to one worker. Its done
-// channel resolves exactly once; whoever consumes the resolution does the
-// accounting, so every dispatched send lands in exactly one bucket.
-type cellSend struct {
-	spec CellSpec
-	done chan sendResult // buffered 1
+// reply is one bank request's resolution.
+type reply struct {
+	worker string
+	outs   []CellOutcome
+	err    error // transport-class failure
 }
 
-type sendResult struct {
-	outcome CellOutcome
-	worker  string
-	err     error // transport-class failure
-}
-
-// sendCellHedged dispatches one cell to primary and races a single
-// speculative duplicate on another worker if the first copy is still
-// unresolved after HedgeAfter. First resolution wins; the loser's
-// eventual resolution is drained and accounted as wasted speculation.
-func (c *Coordinator) sendCellHedged(ctx context.Context, primary string, spec CellSpec) (*CellOutcome, error) {
-	first := c.batchers[primary].enqueue(spec)
-	var hedgeTimer *time.Timer
-	var hedgeCh <-chan time.Time
+// sendHedged sends a bank to primary and, if HedgeAfter passes first, one
+// copy to the best other worker. The first response wins and the other
+// copy is canceled; a copy that fails in transport leaves the race to the
+// other. Every copy is accounted, in cells, before sendHedged returns.
+func (c *Coordinator) sendHedged(ctx context.Context, key, primary string, bank []CellSpec, budget time.Duration) reply {
+	n := int64(len(bank))
+	replies := make(chan reply, 2) // one per copy: the primary and at most one hedge
+	cancels := []context.CancelFunc{c.send(ctx, primary, bank, budget, replies)}
+	var hedge <-chan time.Time
 	if c.opt.HedgeAfter > 0 {
-		hedgeTimer = time.NewTimer(c.opt.HedgeAfter)
-		defer hedgeTimer.Stop()
-		hedgeCh = hedgeTimer.C
+		t := time.NewTimer(c.opt.HedgeAfter)
+		defer t.Stop()
+		hedge = t.C
 	}
-	var second *cellSend
-	for {
-		var secondDone chan sendResult
-		if second != nil {
-			secondDone = second.done
-		}
+	var won reply
+	for pending := 1; pending > 0; {
 		select {
-		case <-ctx.Done():
-			c.drain(first)
-			if second != nil {
-				c.drain(second)
-			}
-			return nil, ctx.Err()
-		case <-hedgeCh:
-			hedgeCh = nil // at most one hedge
-			if peer := c.hedgePick(primary); peer != "" {
+		case <-hedge:
+			hedge = nil // at most one hedge
+			if peer := c.pick(key, primary); peer != "" && peer != primary {
 				c.hedges.Inc()
-				second = c.batchers[peer].enqueue(spec)
+				cancels = append(cancels, c.send(ctx, peer, bank, budget, replies))
+				pending++
 			}
-		case r := <-first.done:
-			if second != nil {
-				c.drain(second)
+		case r := <-replies:
+			pending--
+			switch {
+			case won.worker != "" && won.err == nil:
+				c.hedgeWasted.With(r.worker).Add(n)
+			case r.err != nil:
+				c.failed.With(r.worker).Add(n)
+				won = r
+			default:
+				c.completed.With(r.worker).Add(n)
+				won = r
+				for _, cancel := range cancels {
+					cancel()
+				}
 			}
-			return c.consume(r)
-		case r := <-secondDone:
-			c.drain(first)
-			return c.consume(r)
 		}
 	}
+	return won
 }
 
-// consume accounts the winning resolution: completed when the response is
-// used (results and remote failures both branch the caller), failed when
-// the transport lost it.
-func (c *Coordinator) consume(r sendResult) (*CellOutcome, error) {
-	if r.err != nil {
-		c.failed.With(r.worker).Inc()
-		return nil, r.err
-	}
-	c.completed.With(r.worker).Inc()
-	return &r.outcome, nil
-}
-
-// drain accounts a losing (or abandoned) send in the background: an
-// arrived response that nobody used is wasted speculation; a transport
-// failure is a failure.
-func (c *Coordinator) drain(cs *cellSend) {
-	select {
-	case r := <-cs.done:
-		// Already resolved: account inline, no goroutine needed.
-		c.accountLoss(r)
-	default:
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.accountLoss(<-cs.done)
-		}()
-	}
-}
-
-func (c *Coordinator) accountLoss(r sendResult) {
-	if r.err != nil {
-		c.failed.With(r.worker).Inc()
-		return
-	}
-	c.hedgeWasted.With(r.worker).Inc()
-}
-
-// batcher accumulates cells bound for one worker and flushes them as
-// batches: on size, on linger expiry, or on stop.
-type batcher struct {
-	c    *Coordinator
-	name string
-
-	mu      sync.Mutex
-	pending []*cellSend
-	timer   *time.Timer
-	stopped bool
-}
-
-func newBatcher(c *Coordinator, name string) *batcher {
-	return &batcher{c: c, name: name}
-}
-
-// enqueue adds one cell copy to the pending batch and returns its send
-// handle. After stop, sends resolve immediately as canceled transport
-// failures (shutdown, not worker fault).
-func (b *batcher) enqueue(spec CellSpec) *cellSend {
-	cs := &cellSend{spec: spec, done: make(chan sendResult, 1)}
-	b.mu.Lock()
-	if b.stopped {
-		b.mu.Unlock()
-		cs.done <- sendResult{worker: b.name, err: &transportError{worker: b.name, err: context.Canceled}}
-		return cs
-	}
-	b.pending = append(b.pending, cs)
-	if len(b.pending) >= b.c.opt.BatchSize {
-		batch := b.pending
-		b.pending = nil
-		b.stopTimerLocked()
-		b.mu.Unlock()
-		b.launch(batch)
-		return cs
-	}
-	if b.timer == nil {
-		b.timer = time.AfterFunc(b.c.opt.Linger, b.flushLinger)
-	}
-	b.mu.Unlock()
-	return cs
-}
-
-func (b *batcher) stopTimerLocked() {
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-}
-
-func (b *batcher) flushLinger() {
-	b.mu.Lock()
-	b.timer = nil
-	batch := b.pending
-	b.pending = nil
-	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.launch(batch)
-	}
-}
-
-// stop flushes nothing further; pending cells resolve as canceled.
-func (b *batcher) stop() {
-	b.mu.Lock()
-	b.stopped = true
-	b.stopTimerLocked()
-	batch := b.pending
-	b.pending = nil
-	b.mu.Unlock()
-	for _, cs := range batch {
-		cs.done <- sendResult{worker: b.name, err: &transportError{worker: b.name, err: context.Canceled}}
-	}
-}
-
-// launch sends one batch on its own goroutine under the batch deadline.
-// Dispatch accounting happens here: every cell in the batch counts as
-// dispatched the moment the send launches.
-func (b *batcher) launch(batch []*cellSend) {
-	c := b.c
-	c.dispatched.With(b.name).Add(int64(len(batch)))
-	c.inflight.With(b.name).Add(int64(len(batch)))
-	c.wg.Add(1)
+// send launches one bank request to worker under the caller's context,
+// bounded by BatchTimeout and canceled by Close, and delivers its reply.
+// The bank's cells count as dispatched and in flight from here.
+func (c *Coordinator) send(ctx context.Context, worker string, bank []CellSpec, budget time.Duration, replies chan<- reply) context.CancelFunc {
+	n := int64(len(bank))
+	c.dispatched.With(worker).Add(n)
+	c.inflight.With(worker).Add(n)
+	ctx, cancel := context.WithTimeoutCause(ctx, c.opt.BatchTimeout, errBankTimeout)
+	stop := context.AfterFunc(c.ctx, cancel)
 	go func() {
-		defer c.wg.Done()
-		defer c.inflight.With(b.name).Add(-int64(len(batch)))
-		cells := make([]CellSpec, len(batch))
-		for i, cs := range batch {
-			cells[i] = cs.spec
-		}
-		// Parented on the coordinator, not any one caller: a batch
-		// aggregates cells from many callers, and Close must be able to
-		// cancel a batch stuck on a partitioned worker.
-		ctx, cancel := context.WithTimeout(c.ctx, c.opt.BatchTimeout)
 		defer cancel()
+		defer stop()
 		start := time.Now()
-		outs, err := c.clients[b.name].ExecBatch(ctx, cells)
+		outs, err := c.clients[worker].ExecBank(ctx, bank, budget)
 		c.batchSecs.Observe(time.Since(start).Seconds())
-		if err != nil {
-			c.health.Observe(b.name, false)
-			for _, cs := range batch {
-				cs.done <- sendResult{worker: b.name, err: err}
-			}
-			return
+		c.inflight.With(worker).Add(-n)
+		// Only the worker's own failures feed its health: a request the
+		// caller, a won hedge or Close canceled says nothing about it.
+		if err == nil || ctx.Err() == nil || context.Cause(ctx) == errBankTimeout {
+			c.health.Observe(worker, err == nil)
 		}
-		c.health.Observe(b.name, true)
-		for i, cs := range batch {
-			cs.done <- sendResult{worker: b.name, outcome: outs[i]}
-		}
+		replies <- reply{worker, outs, err}
 	}()
+	return cancel
 }

@@ -1,6 +1,6 @@
 package cluster
 
-// Differential conformance through the wire: cells naming random
+// Differential conformance through the wire: banks of cells naming random
 // generated traces (tracegen profile, seed, length) run through a
 // 3-worker cluster, whose workers regenerate each trace from its spec, and
 // through local execution, and the two must agree point-for-point. The oracle then re-checks the same grid
@@ -44,28 +44,34 @@ func TestDifferentialTracegenGridThroughCluster(t *testing.T) {
 		seed := rng.Int63()
 		buf := tracegen.Gen(seed, p)
 
+		// The profile's whole grid is one bank: one request, one
+		// regeneration on the worker, one pass over the trace.
+		var specs []CellSpec
 		for _, cfg := range cfgs {
 			for _, width := range widths {
 				for _, window := range windows {
 					// Scale 1: a synthetic trace has no workload scale;
 					// the value only keeps worker-side store keys well-formed.
-					got, err := coord.execute(context.Background(), CellSpec{
+					specs = append(specs, CellSpec{
 						Tracegen: &TracegenSpec{Profile: p.Name, Seed: seed, Records: p.Records},
 						Config:   cfg, Width: width, Window: window, Scale: 1,
 					})
-					if err != nil {
-						t.Fatalf("%s seed=%d cfg=%s w=%d win=%d: %v", p.Name, seed, cfg.Name, width, window, err)
-					}
-					want, err := core.RunChecked(context.Background(), buf.Reader(), cfg,
-						core.Params{Width: width, WindowSize: window})
-					if err != nil {
-						t.Fatalf("%s local run: %v", p.Name, err)
-					}
-					if diff := want.Diff(got); len(diff) > 0 {
-						t.Fatalf("%s seed=%d cfg=%s w=%d win=%d: cluster diverges from local: %v",
-							p.Name, seed, cfg.Name, width, window, diff)
-					}
 				}
+			}
+		}
+		for i, o := range coord.execute(context.Background(), specs, 0) {
+			s := specs[i]
+			if o.Err != nil {
+				t.Fatalf("%s seed=%d cfg=%s w=%d win=%d: %v", p.Name, seed, s.Config.Name, s.Width, s.Window, o.Err)
+			}
+			want, err := core.RunChecked(context.Background(), buf.Reader(), s.Config,
+				core.Params{Width: s.Width, WindowSize: s.Window})
+			if err != nil {
+				t.Fatalf("%s local run: %v", p.Name, err)
+			}
+			if diff := want.Diff(o.Result); len(diff) > 0 {
+				t.Fatalf("%s seed=%d cfg=%s w=%d win=%d: cluster diverges from local: %v",
+					p.Name, seed, s.Config.Name, s.Width, s.Window, diff)
 			}
 		}
 
@@ -76,8 +82,8 @@ func TestDifferentialTracegenGridThroughCluster(t *testing.T) {
 		}
 	}
 
-	// All three workers must have participated: the grid has far more
-	// cells than workers, and rendezvous hashing spreads distinct traces.
+	// All three workers must have participated: the grid has more
+	// traces than workers, and rendezvous hashing spreads distinct traces.
 	for i, wk := range workers {
 		if n := wk.cells.With("computed").Value(); n == 0 {
 			t.Errorf("worker %d computed no cells; sharding sent it nothing", i)

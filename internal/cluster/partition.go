@@ -1,13 +1,15 @@
 package cluster
 
 // Deterministic shard partitioner: rendezvous (highest-random-weight)
-// hashing of cell keys over worker names. Chosen over modulo sharding for
-// its rebalancing property: removing a worker reassigns exactly that
-// worker's cells and no others, so a mid-sweep worker loss never churns
-// the cells already owned by healthy peers (and their worker-side trace
-// and result caches stay hot). The partitioner is a pure function of
-// (key, workers, seed) — no state, no RNG — so a fixed-seed sweep shards
-// identically on every run, which the property tests pin.
+// hashing of keys over worker names. The coordinator keys a bank by its
+// trace and asks for the owner among the least-loaded usable workers.
+// Chosen over modulo sharding for its rebalancing property: removing a
+// worker reassigns exactly that worker's keys and no others, so a
+// mid-sweep worker loss never churns the traces healthy peers prefer (and
+// their worker-side trace and result caches stay hot). The partitioner is
+// a pure function of (key, workers, seed) — no state, no RNG — so a
+// fixed-seed sweep shards identically on every run, which the property
+// tests pin.
 
 // fnvOffset/fnvPrime are the FNV-1a 64-bit parameters.
 const (

@@ -137,13 +137,13 @@ func TestOverBudgetWorkerServesEveryCell(t *testing.T) {
 	}
 }
 
-// rewritingProxy forwards cell batches to wk after applying edit to every
+// rewritingProxy forwards cell banks to wk after applying edit to every
 // spec — a worker whose build disagrees with the coordinator's.
 func rewritingProxy(t *testing.T, wk *Worker, edit func(*CellSpec)) *httptest.Server {
 	t.Helper()
 	return httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/cells" {
-			var req batchRequest
+			var req bankRequest
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 				http.Error(rw, err.Error(), http.StatusBadRequest)
 				return
@@ -216,7 +216,7 @@ func TestSpecNamesExactlyOneGenerator(t *testing.T) {
 		cells[i].TraceHash = hashString(1)
 		cells[i].Config, cells[i].Width, cells[i].Scale = cfg, 4, 1
 	}
-	outs, err := newWorkerClient("w0", ts.URL, http.DefaultClient).ExecBatch(context.Background(), cells)
+	outs, err := newWorkerClient("w0", ts.URL, http.DefaultClient).ExecBank(context.Background(), cells, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

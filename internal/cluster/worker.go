@@ -1,16 +1,16 @@
 package cluster
 
 // Worker is the execution half of the compute plane: a minimal HTTP API
-// that accepts batches of cells (POST /cells), executes them on a bounded
-// local concurrency budget, and answers with per-cell outcomes. Cells name
-// their trace's generator plus its content hash; the worker regenerates
-// the trace deterministically (through the process-wide workloads memo)
-// and verifies the regenerated hash before trusting it. A worker that
-// cannot reproduce the trace answers a transient failure, and the
-// coordinator moves the cell to a peer or runs it locally. Results cache
-// in the existing durable store when one is attached, so a worker
-// restarted mid-sweep resumes from disk exactly like a single-process run
-// would.
+// that accepts banks of cells (POST /cells), executes each bank over one
+// open of its trace on a bounded local concurrency budget, and answers
+// with per-cell outcomes. Cells name their trace's generator plus its
+// content hash; the worker regenerates the trace deterministically
+// (through the process-wide workloads memo) and verifies the regenerated
+// hash before trusting it. A worker that cannot reproduce the trace
+// answers a transient failure, and the coordinator moves the cells to a
+// peer or runs them locally. Results cache in the existing durable store
+// when one is attached, so a worker restarted mid-sweep resumes from disk
+// exactly like a single-process run would.
 
 import (
 	"context"
@@ -44,8 +44,8 @@ type WorkerOptions struct {
 	// Store, when non-nil, serves cells already on disk without
 	// simulation and persists every computed cell.
 	Store ResultStore
-	// MaxConcurrent bounds simultaneously executing cells across all
-	// in-flight batches; <= 0 means GOMAXPROCS.
+	// MaxConcurrent bounds simultaneously executing banks across all
+	// in-flight requests; <= 0 means GOMAXPROCS.
 	MaxConcurrent int
 	// SpoolDir, when non-empty, spools locally regenerated traces to disk
 	// (workloads.ProviderOptions.SpoolDir) instead of materializing them.
@@ -56,7 +56,7 @@ type WorkerOptions struct {
 	MaxTraceMem int64
 }
 
-// Worker executes cell batches. Create with NewWorker; mount its handlers
+// Worker executes cell banks. Create with NewWorker; mount its handlers
 // via Handler (standalone) or through internal/server's Options.Worker.
 type Worker struct {
 	opt WorkerOptions
@@ -90,11 +90,11 @@ func NewWorker(opt WorkerOptions) *Worker {
 func (w *Worker) register(reg *metrics.Registry) {
 	w.cells = reg.CounterVec("cluster_worker_cells_total",
 		"cells answered by this worker, by outcome (computed, store_hit, failed)", "outcome")
-	w.batches = reg.Counter("cluster_worker_batches_total", "cell batches received")
+	w.batches = reg.Counter("cluster_worker_batches_total", "cell bank requests received")
 	w.regens = reg.Counter("cluster_worker_trace_regens_total",
 		"trace hashes this worker resolved for the first time (regenerated from the cell spec and hash-verified)")
 	w.cellSeconds = reg.Histogram("cluster_worker_cell_seconds",
-		"per-cell execution wall time (computed cells only)", nil)
+		"attributed seconds per banked cell (its back end plus a share of its bank's front end)", nil)
 }
 
 // Instrument re-registers the worker's families on a shared registry (the
@@ -139,117 +139,151 @@ func (w *Worker) reproduce(ctx context.Context, spec CellSpec, want uint64) (tra
 	return prov, nil
 }
 
-// HandleCells executes POST /cells: a batch of cells, answered positionally.
+// HandleCells executes POST /cells: a bank of cells, answered positionally.
+// Each cell is validated and served from the store when it can be; the
+// rest run grouped by trace, each group as one core.Bank over one open of
+// the trace, on one concurrency slot, under the request's per-cell budget.
 func (w *Worker) HandleCells(rw http.ResponseWriter, r *http.Request) {
-	var req batchRequest
+	var req bankRequest
 	if err := readJSON(r, &req); err != nil {
-		http.Error(rw, "cluster: bad batch: "+err.Error(), http.StatusBadRequest)
+		http.Error(rw, "cluster: bad bank: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(req.Cells) == 0 || len(req.Cells) > maxBatchCells {
-		http.Error(rw, fmt.Sprintf("cluster: batch size %d out of range [1, %d]", len(req.Cells), maxBatchCells),
+	if len(req.Cells) == 0 || len(req.Cells) > maxBankCells {
+		http.Error(rw, fmt.Sprintf("cluster: bank size %d out of range [1, %d]", len(req.Cells), maxBankCells),
 			http.StatusBadRequest)
 		return
 	}
 	w.batches.Inc()
 	out := make([]CellOutcome, len(req.Cells))
+	groups := map[string][]int{}
+	for i, spec := range req.Cells {
+		if o, ok := w.admit(spec); ok {
+			out[i] = o
+			continue
+		}
+		groups[spec.traceKey()] = append(groups[spec.traceKey()], i)
+	}
 	var wg sync.WaitGroup
-	for i := range req.Cells {
+	for _, at := range groups {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			out[i] = w.executeCell(r, req.Cells[i])
-		}(i)
+			for k, o := range w.runBank(r.Context(), subset(req.Cells, at), req.Budget) {
+				out[at[k]] = o
+			}
+		}()
 	}
 	wg.Wait()
-	writeJSON(rw, http.StatusOK, batchResponse{Outcomes: out})
+	writeJSON(rw, http.StatusOK, bankResponse{Outcomes: out})
 }
 
-// executeCell resolves one cell: validation, store lookup, trace
-// regeneration, then simulation on the concurrency budget. Panics are
-// isolated into panic-kind outcomes, worded as the local watchdog words
-// them — one poisoned cell must never take the worker down.
-func (w *Worker) executeCell(r *http.Request, spec CellSpec) (out CellOutcome) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			w.cells.With("failed").Inc()
-			out = CellOutcome{Error: failure.From(&watchdog.PanicError{Value: rec})}
-		}
-	}()
-	fail := func(kind failure.Kind, msg string) CellOutcome {
-		w.cells.With("failed").Inc()
-		return CellOutcome{Error: &failure.Error{Kind: kind, Message: msg}}
-	}
+// fail counts n failed cells and returns their outcome.
+func (w *Worker) fail(n int, kind failure.Kind, msg string) CellOutcome {
+	w.cells.With("failed").Add(int64(n))
+	return CellOutcome{Error: &failure.Error{Kind: kind, Message: msg}}
+}
+
+// admit validates one cell and serves it from the store when it can. It
+// reports false for a cell left to simulate.
+func (w *Worker) admit(spec CellSpec) (CellOutcome, bool) {
 	h, err := spec.hash()
 	if err != nil {
-		return fail(failure.Invalid, err.Error())
+		return w.fail(1, failure.Invalid, err.Error()), true
 	}
 	if err := spec.checkGenerator(); err != nil {
-		return fail(failure.Invalid, err.Error())
+		return w.fail(1, failure.Invalid, err.Error()), true
 	}
 	if spec.Width < 1 || spec.Width > 4096 {
-		return fail(failure.Invalid, fmt.Sprintf("width %d out of range [1, 4096]", spec.Width))
+		return w.fail(1, failure.Invalid, fmt.Sprintf("width %d out of range [1, 4096]", spec.Width)), true
 	}
 	if spec.Scale < 1 {
-		return fail(failure.Invalid, fmt.Sprintf("scale %d < 1 (the coordinator normalizes scale)", spec.Scale))
+		return w.fail(1, failure.Invalid, fmt.Sprintf("scale %d < 1 (the coordinator normalizes scale)", spec.Scale)), true
 	}
-	key := store.Key{Trace: h, Config: spec.Config.Fingerprint(), Width: spec.Width,
-		Scale: spec.Scale, Window: spec.Window, Checked: spec.SelfCheck, Workload: spec.Workload}
-	if w.opt.Store != nil {
-		if res, err := w.opt.Store.Get(key); err == nil {
-			data, merr := marshalResult(res)
-			if merr == nil {
-				w.cells.With("store_hit").Inc()
-				return CellOutcome{Result: data, FromStore: true}
-			}
-			// Fall through and recompute: an unmarshalable store hit is a
-			// programming error worth surviving, not serving.
+	if w.opt.Store == nil {
+		return CellOutcome{}, false
+	}
+	res, err := w.opt.Store.Get(spec.storeKey(h))
+	if err != nil {
+		return CellOutcome{}, false
+	}
+	data, err := marshalResult(res)
+	if err != nil {
+		// Recompute: an unmarshalable store hit is a programming error
+		// worth surviving, not serving.
+		return CellOutcome{}, false
+	}
+	w.cells.With("store_hit").Inc()
+	return CellOutcome{Result: data, FromStore: true}, true
+}
+
+// storeKey is the cell's durable identity under trace hash h — the exact
+// key the coordinator's runner would use.
+func (s CellSpec) storeKey(h uint64) store.Key {
+	return store.Key{Trace: h, Config: s.Config.Fingerprint(), Width: s.Width,
+		Scale: s.Scale, Window: s.Window, Checked: s.SelfCheck, Workload: s.Workload}
+}
+
+// runBank simulates admitted cells that share one trace as one bank: it
+// regenerates the trace, takes a concurrency slot, and runs the bank.
+// Every outcome carries the cell's attributed seconds, which
+// cluster_worker_cell_seconds observes. A panic outside the bank — one
+// poisoned request must never take the worker down — fails every cell,
+// worded as the local watchdog words it.
+func (w *Worker) runBank(ctx context.Context, specs []CellSpec, budget time.Duration) (out []CellOutcome) {
+	all := func(o CellOutcome) []CellOutcome {
+		out := make([]CellOutcome, len(specs))
+		for i := range out {
+			out[i] = o
 		}
+		return out
 	}
-	ctx := r.Context()
-	prov, err := w.reproduce(ctx, spec, h)
+	defer func() {
+		if rec := recover(); rec != nil {
+			out = all(w.fail(len(specs), failure.Panic, (&watchdog.PanicError{Value: rec}).Error()))
+		}
+	}()
+	h, _ := specs[0].hash() // admitted
+	prov, err := w.reproduce(ctx, specs[0], h)
 	if err != nil {
 		if ctx.Err() != nil {
-			return fail(failure.Canceled, err.Error())
+			return all(w.fail(len(specs), failure.Canceled, err.Error()))
 		}
 		// Not permanent: a peer (or the coordinator's local fallback) may
 		// still reproduce the trace.
-		return fail(failure.Sim, "cannot reproduce trace: "+err.Error())
+		return all(w.fail(len(specs), failure.Sim, "cannot reproduce trace: "+err.Error()))
 	}
-
-	// The concurrency budget bounds simultaneous simulations across every
-	// in-flight batch; a canceled request (hedge loser, coordinator gone)
+	// The concurrency budget bounds simultaneous banks across every
+	// in-flight request; a canceled request (hedge loser, caller gone)
 	// stops waiting instead of holding a slot reservation.
 	select {
 	case w.sem <- struct{}{}:
 		defer func() { <-w.sem }()
 	case <-ctx.Done():
-		return fail(failure.Canceled, ctx.Err().Error())
+		return all(w.fail(len(specs), failure.Canceled, ctx.Err().Error()))
 	}
-	src, err := prov.Open()
-	if err != nil {
-		return fail(failure.Sim, "opening trace: "+err.Error())
+	out = make([]CellOutcome, len(specs))
+	for i, o := range runBank(ctx, prov, specs, budget) {
+		w.cellSeconds.Observe(o.Seconds)
+		if o.Err != nil {
+			w.cells.With("failed").Inc()
+			out[i] = CellOutcome{Error: failure.From(o.Err), Seconds: o.Seconds}
+			continue
+		}
+		data, err := marshalResult(o.Result)
+		if err != nil {
+			out[i] = w.fail(1, failure.Sim, "encoding result: "+err.Error())
+			continue
+		}
+		if w.opt.Store != nil {
+			// Best-effort persistence, same contract as the runner's: a
+			// failed write costs durability, never the result.
+			_ = w.opt.Store.PutWithPerf(specs[i].storeKey(h), o.Result, nil)
+		}
+		w.cells.With("computed").Inc()
+		out[i] = CellOutcome{Result: data, Seconds: o.Seconds}
 	}
-	defer trace.CloseSource(src)
-	start := time.Now()
-	res, err := core.RunChecked(ctx, src, spec.Config,
-		core.Params{Width: spec.Width, WindowSize: spec.Window, SelfCheck: spec.SelfCheck})
-	if err != nil {
-		w.cells.With("failed").Inc()
-		return CellOutcome{Error: failure.From(err)}
-	}
-	w.cellSeconds.Observe(time.Since(start).Seconds())
-	data, err := marshalResult(res)
-	if err != nil {
-		return fail(failure.Sim, "encoding result: "+err.Error())
-	}
-	if w.opt.Store != nil {
-		// Best-effort persistence, same contract as the runner's: a failed
-		// write costs durability, never the result.
-		_ = w.opt.Store.PutWithPerf(key, res, nil)
-	}
-	w.cells.With("computed").Inc()
-	return CellOutcome{Result: data}
+	return out
 }
 
 // WorkerStatus is the GET /workerz document.

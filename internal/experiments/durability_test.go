@@ -46,7 +46,7 @@ func TestCrashResumeFromStore(t *testing.T) {
 	}
 	r1.WithContext(ctx).WithWorkers(1)
 	r1.Widths = widths
-	r1.OnCellDone = func(done int) {
+	r1.OnCellDone = func(done, _ int) {
 		if done == killAfter {
 			cancel()
 		}
@@ -223,7 +223,7 @@ func TestStallThatRecoversFailsOneCell(t *testing.T) {
 	r := NewRunner(60).WithWorkers(1)
 	r.Widths = []int{8}
 	r.StallTimeout = 100 * time.Millisecond
-	r.OnCellDone = func(done int) {
+	r.OnCellDone = func(done, _ int) {
 		if done == 1 {
 			// Armed inside the sweep, where no goroutine an earlier test
 			// abandoned can still reach the fault point.

@@ -86,10 +86,11 @@ type Runner struct {
 	// cancellation of the whole sweep.
 	CellTimeout time.Duration
 	// OnCellDone, when non-nil, is called after every cell resolves
-	// (computed or served from the store; canceled cells excluded) with
-	// the total number of cells resolved so far. CLIs hang progress
-	// reporting off it; tests use it to interrupt a sweep mid-flight.
-	OnCellDone func(done int)
+	// (computed, served from the store, or failed; canceled cells
+	// excluded) with the numbers of cells resolved so far and of those
+	// that failed. CLIs hang progress reporting off it; tests use it to
+	// interrupt a sweep mid-flight.
+	OnCellDone func(done, failed int)
 
 	ctx       context.Context
 	store     ResultStore
@@ -98,11 +99,12 @@ type Runner struct {
 	metrics   *RunnerMetrics
 	workers   int
 	traceOpts workloads.ProviderOptions
-	cellsDone atomic.Int64
 	computes  atomic.Int64
 
-	mu    sync.Mutex
-	cache map[runKey]*cacheEntry
+	mu     sync.Mutex
+	cache  map[runKey]*cacheEntry
+	done   int // cells resolved (OnCellDone), of which
+	failed int // failed
 }
 
 type runKey struct {
@@ -133,9 +135,20 @@ type ResultStore interface {
 // importing the other). Scale is always >= 1 (the Runner normalizes its 0
 // = workload-default convention before the call). Implementations must be
 // deterministic in the result: the sweep report is byte-compared across
-// executors.
+// executors. An Executor that is also a BankExecutor gets a sub-bank in
+// one call; any other gets its cells one by one.
 type Executor interface {
 	ExecuteCell(ctx context.Context, w *workloads.Workload, cfg core.Config, width, scale int, selfCheck bool) (*core.Result, error)
+}
+
+// BankExecutor is an Executor that runs several cells of one workload as
+// one bank, as core.NewBank(cells, budget) followed by Bank.Run runs them
+// locally: budget bounds each cell's attributed time, and the call
+// returns one outcome per cell, in order, whose Seconds sum to the call's
+// time. The Runner sets only Width, WindowSize and SelfCheck in a cell's
+// Params.
+type BankExecutor interface {
+	ExecuteBank(ctx context.Context, w *workloads.Workload, scale int, cells []core.Cell, budget time.Duration) []core.Outcome
 }
 
 // ErrCellDeadline matches (via errors.Is) cell failures caused by the
@@ -418,9 +431,14 @@ func (r *Runner) settle(w *workloads.Workload, c *cell, res *core.Result, attemp
 	e := cacheEntry{res: res, err: err}
 	r.mu.Lock()
 	r.cache[runKey{w.Name, c.cfg.Fingerprint(), c.width}] = &e
+	r.done++
+	if err != nil {
+		r.failed++
+	}
+	done, failed := r.done, r.failed
 	r.mu.Unlock()
 	if r.OnCellDone != nil {
-		r.OnCellDone(int(r.cellsDone.Add(1)))
+		r.OnCellDone(done, failed)
 	}
 	return e
 }
@@ -496,9 +514,10 @@ type try struct {
 }
 
 // attempt makes one attempt at cells of one workload: the experiment fault
-// point for each cell, the trace, then the simulation, locally as one bank
-// or cell by cell through the Executor. It returns each cell's part and the
-// bank-wide error, if any, which is the Err of every cell it failed.
+// point for each cell, the trace, then the simulation as one bank, locally
+// or through a BankExecutor, or cell by cell through any other Executor.
+// It returns each cell's part and the bank-wide error, if any, which is
+// the Err of every cell it failed.
 func (r *Runner) attempt(ctx context.Context, w *workloads.Workload, cells []*cell) ([]try, error) {
 	tries := make([]try, len(cells))
 	var run []*cell
@@ -523,12 +542,21 @@ func (r *Runner) attempt(ctx context.Context, w *workloads.Workload, cells []*ce
 		return tries, err
 	}
 	var outs []core.Outcome
-	if r.exec != nil {
+	switch be, banks := r.exec.(BankExecutor); {
+	case banks:
+		bc := make([]core.Cell, len(run))
+		for k, c := range run {
+			bc[k] = r.bankCell(c)
+		}
+		ectx, espan := metrics.StartSpan(ctx, "execute")
+		outs = be.ExecuteBank(ectx, w, r.scaleFor(w), bc, r.CellTimeout)
+		espan.End()
+	case r.exec != nil:
 		outs = make([]core.Outcome, len(run))
 		for k, c := range run {
 			outs[k] = r.execute(ctx, w, c)
 		}
-	} else {
+	default:
 		sctx, sspan := metrics.StartSpan(ctx, "simulate")
 		outs, err = r.simulate(sctx, prov, run)
 		sspan.End()
@@ -539,10 +567,10 @@ func (r *Runner) attempt(ctx context.Context, w *workloads.Workload, cells []*ce
 	return tries, err
 }
 
-// execute delegates one cell to the Executor (e.g. a worker cluster). The
-// cell deadline bounds the call; stall supervision does not apply —
-// progress heartbeats don't cross the wire, and the executor owns its own
-// straggler handling (per-batch deadlines, hedging).
+// execute delegates one cell to an Executor that runs no banks. The cell
+// deadline bounds the call; stall supervision does not apply to an
+// Executor — progress heartbeats don't cross the wire, and the executor
+// owns its own straggler handling (per-request deadlines, hedging).
 func (r *Runner) execute(ctx context.Context, w *workloads.Workload, c *cell) core.Outcome {
 	timer := perf.Start()
 	if r.CellTimeout > 0 {
@@ -635,7 +663,7 @@ func (r *Runner) simulate(ctx context.Context, prov trace.Provider, cells []*cel
 		ran, err := watchdog.Run(ctx, r.StallTimeout, func(wctx context.Context, beat func()) ([]core.Outcome, error) {
 			bc := make([]core.Cell, len(pending))
 			for k, i := range pending {
-				bc[k] = core.Cell{Config: cells[i].cfg, Params: core.Params{Width: cells[i].width, SelfCheck: r.SelfCheck}}
+				bc[k] = r.bankCell(cells[i])
 				if r.StallTimeout > 0 {
 					bc[k].Params.Progress = func(core.Progress) { beat() }
 					bc[k].Params.ProgressEvery = stallHeartbeatEvery
@@ -698,6 +726,11 @@ func (r *Runner) simulate(ctx context.Context, prov trace.Provider, cells []*cel
 	return outs, nil
 }
 
+// bankCell is c as a cell of a bank.
+func (r *Runner) bankCell(c *cell) core.Cell {
+	return core.Cell{Config: c.cfg, Params: core.Params{Width: c.width, SelfCheck: r.SelfCheck}}
+}
+
 // scaleFor normalizes the Runner's 0 = workload-default scale convention.
 func (r *Runner) scaleFor(w *workloads.Workload) int {
 	if r.Scale <= 0 {
@@ -729,12 +762,17 @@ func (r *Runner) storeKey(w *workloads.Workload, cfg core.Config, width int, pro
 // sets and returns the errors.Join of every failed cell (nil when all
 // succeeded). It drops cells already in memory or in the store, then
 // splits each workload's remaining cells into sub-banks by the workload's
-// share of the worker pool (WithWorkers; GOMAXPROCS by default): n of N
-// remaining cells in all get ceil(workers*n/N) sub-banks, at most n, so
-// the banks number about as many as the workers. Each sub-bank is one
-// core.Bank over one open of the trace; the workers run them, longest
-// trace first. With an Executor every cell goes to it on its own.
-// Cancellation drains the remaining banks without starting them.
+// share of the work, weighted by trace length: workload i, with n_i
+// remaining cells over a trace of r_i records, gets
+//
+//	k_i = min(n_i, max(1, ceil(workers * r_i*n_i / sum_j r_j*n_j)))
+//
+// sub-banks, so the banks number about as many as the workers
+// (WithWorkers; GOMAXPROCS by default) and a long trace does not set the
+// sweep's wall time alone. Each sub-bank is one core.Bank over one open of
+// the trace, or one call of a BankExecutor; the workers run them, largest
+// work first. Cancellation drains the remaining banks without starting
+// them.
 func (r *Runner) Prefetch(set []*workloads.Workload, cfgs []core.Config, widths []int) error {
 	type job struct {
 		w       *workloads.Workload
@@ -748,7 +786,7 @@ func (r *Runner) Prefetch(set []*workloads.Workload, cfgs []core.Config, widths 
 	}
 	var errs []error
 	var work []job // one per workload: all its remaining cells
-	total := 0
+	var total int64
 	for _, w := range set {
 		if err := ctx.Err(); err != nil {
 			errs = append(errs, err)
@@ -776,28 +814,27 @@ func (r *Runner) Prefetch(set []*workloads.Workload, cfgs []core.Config, widths 
 			}
 		}
 		records, err := trace.ProviderRecords(prov)
-		if err != nil {
-			records = 0 // only the dispatch order needs it
+		if err != nil || records < 1 {
+			records = 1 // only the split and the order need it
 		}
 		work = append(work, job{w, todo, records})
-		total += len(todo)
+		total += records * int64(len(todo))
 	}
 	var jobs []job
 	for _, j := range work {
-		n := len(j.cells)
-		k := n
-		if r.exec == nil && n > 0 {
-			k = min(n, (workers*n+total-1)/total)
-		}
+		n := int64(len(j.cells))
+		k := int(min(n, max(1, (int64(workers)*j.records*n+total-1)/max(total, 1))))
 		for b := 0; b < k; b++ {
 			var cells []*cell
-			for i := b; i < n; i += k {
+			for i := b; i < len(j.cells); i += k {
 				cells = append(cells, j.cells[i])
 			}
 			jobs = append(jobs, job{j.w, cells, j.records})
 		}
 	}
-	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].records > jobs[j].records })
+	sort.SliceStable(jobs, func(i, j int) bool {
+		return jobs[i].records*int64(len(jobs[i].cells)) > jobs[j].records*int64(len(jobs[j].cells))
+	})
 
 	workers = min(workers, len(jobs))
 	jobCh := make(chan job)
