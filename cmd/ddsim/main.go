@@ -259,34 +259,16 @@ func runTraceFile(ctx context.Context, path, config string, width, window int, o
 	if err != nil {
 		return err
 	}
-	open := func() (trace.Source, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		r, err := trace.NewReader(f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		return r, nil
-	}
+	// Each attempt's stream closes its file when it ends or is abandoned.
+	open := func() (trace.Source, error) { return trace.OpenFile(path) }
 	var key store.Key
 	if st != nil {
-		f, err := os.Open(path)
+		// One validating pass over the file yields its content hash.
+		sp, err := trace.OpenSpool(path)
 		if err != nil {
 			return err
 		}
-		r, err := trace.NewReader(f)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		hash, _, err := trace.ContentHash(r)
-		f.Close()
-		if err != nil {
-			return err
-		}
+		hash, _, _ := sp.ContentHash()
 		key = store.Key{Trace: hash, Config: cfg.Fingerprint(), Width: width,
 			Scale: 1, Window: window, Checked: opts.selfCheck,
 			Workload: filepath.Base(path)}

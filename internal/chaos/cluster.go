@@ -6,6 +6,7 @@ package chaos
 // the durable store survives), and partitions one (requests hang until
 // the request deadline reaps them). The contract under all of that:
 //
+//   - at least one kill and one partition land while the sweep runs;
 //   - the merged sweep report is byte-identical to an undisturbed
 //     single-process run, with no degraded ("n/a") cells;
 //   - every shed submission is an immediate 429 with Retry-After;
@@ -123,11 +124,16 @@ func RunCluster(opt ClusterOptions) (*ClusterSummary, error) {
 	// Undisturbed single-process baseline: same grid, same scale, no
 	// cluster anywhere near it.
 	opt.Log("cluster: baseline single-process sweep (scale %d)", opt.Scale)
-	baselineReport, v := clusterBaseline(opt.Scale)
+	baselineReport, took, v := clusterBaseline(opt.Scale)
 	if v != "" {
 		sum.Violations = append(sum.Violations, "baseline: "+v)
 		return sum, fmt.Errorf("chaos: cluster baseline failed: %s", v)
 	}
+	// The fault cadence follows the sweep's own length, so the faults land
+	// while it runs however fast the cells are.
+	step := max(took/16, time.Millisecond)
+	opt.Log("cluster: baseline sweep took %v; one fault every %v on average",
+		took.Round(time.Millisecond), step.Round(time.Millisecond))
 
 	// Three workers behind fault-injecting wrappers, each with its own
 	// durable store (a restarted worker resumes from disk, like a real
@@ -177,6 +183,62 @@ func RunCluster(opt ClusterOptions) (*ClusterSummary, error) {
 	defer c.c.CloseIdleConnections()
 	defer hc.CloseIdleConnections()
 
+	// Fault injector, started before the sweep is admitted: seeded kills,
+	// restarts, partitions and heals at random workers, every kind once
+	// per round of four in a seeded order, step/2 to 3·step/2 apart,
+	// until the sweep completes. Local fallback makes even an
+	// all-workers-dead window survivable. Only faults that land while the
+	// sweep is live count towards the kill-and-partition gate.
+	var sweepLive atomic.Bool
+	var liveKills, livePartitions int // the injector's; read after stopInjector
+	stop := make(chan struct{})
+	var injector sync.WaitGroup
+	stopInjector := sync.OnceFunc(func() { close(stop); injector.Wait() })
+	defer stopInjector()
+	injector.Add(1)
+	go func() {
+		defer injector.Done()
+		frng := rand.New(rand.NewSource(opt.Seed + 7))
+		var round []int
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(step/2 + time.Duration(frng.Int63n(int64(step)))):
+			}
+			if len(round) == 0 {
+				round = frng.Perm(4)
+			}
+			kind := round[0]
+			round = round[1:]
+			i := frng.Intn(nWorkers)
+			live := sweepLive.Load()
+			switch kind {
+			case 0:
+				flakies[i].mode.Store(1)
+				sum.Kills++
+				if live {
+					liveKills++
+				}
+				opt.Log("cluster: fault: kill w%d", i)
+			case 1:
+				flakies[i].restart()
+				sum.Restarts++
+				opt.Log("cluster: fault: restart w%d", i)
+			case 2:
+				flakies[i].mode.Store(2)
+				sum.Partitions++
+				if live {
+					livePartitions++
+				}
+				opt.Log("cluster: fault: partition w%d", i)
+			case 3:
+				flakies[i].mode.Store(0)
+				opt.Log("cluster: fault: heal w%d", i)
+			}
+		}
+	}()
+
 	// Submit the full Table 1 grid (the SweepSpec zero value), then burst
 	// single-job submissions past the queue to force shedding while the
 	// sweep occupies the queue. The server's workers start after the
@@ -187,6 +249,7 @@ func RunCluster(opt ClusterOptions) (*ClusterSummary, error) {
 		sum.Violations = append(sum.Violations, fmt.Sprintf("sweep submit: code %d err %v", code, err))
 		return sum, fmt.Errorf("chaos: cluster sweep submit failed")
 	}
+	sweepLive.Store(true)
 	var sweep server.Sweep
 	if err := json.Unmarshal(body, &sweep); err != nil {
 		return sum, err
@@ -219,42 +282,6 @@ func RunCluster(opt ClusterOptions) (*ClusterSummary, error) {
 	}
 	srv.Start()
 
-	// Fault driver: seeded kills, restarts, partitions, heals — at random
-	// workers on a 100-300ms cadence until the sweep completes. Local
-	// fallback makes even an all-workers-dead window survivable.
-	stop := make(chan struct{})
-	var driver sync.WaitGroup
-	driver.Add(1)
-	go func() {
-		defer driver.Done()
-		frng := rand.New(rand.NewSource(opt.Seed + 7))
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Duration(100+frng.Intn(200)) * time.Millisecond):
-			}
-			i := frng.Intn(nWorkers)
-			switch frng.Intn(4) {
-			case 0:
-				flakies[i].mode.Store(1)
-				sum.Kills++
-				opt.Log("cluster: fault: kill w%d", i)
-			case 1:
-				flakies[i].restart()
-				sum.Restarts++
-				opt.Log("cluster: fault: restart w%d", i)
-			case 2:
-				flakies[i].mode.Store(2)
-				sum.Partitions++
-				opt.Log("cluster: fault: partition w%d", i)
-			case 3:
-				flakies[i].mode.Store(0)
-				opt.Log("cluster: fault: heal w%d", i)
-			}
-		}
-	}()
-
 	// The sweep must complete despite the faults.
 	var report string
 	deadline := time.Now().Add(4 * time.Minute)
@@ -277,10 +304,15 @@ func RunCluster(opt ClusterOptions) (*ClusterSummary, error) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	close(stop)
-	driver.Wait()
+	sweepLive.Store(false)
+	stopInjector()
 	for _, f := range flakies {
 		f.mode.Store(0) // heal for the remaining burst jobs
+	}
+	if liveKills == 0 || livePartitions == 0 {
+		sum.Violations = append(sum.Violations, fmt.Sprintf(
+			"the sweep ran under %d kill(s) and %d partition(s); the campaign needs at least one of each",
+			liveKills, livePartitions))
 	}
 
 	// Every admitted burst job must still reach a terminal state.
@@ -371,8 +403,9 @@ func RunCluster(opt ClusterOptions) (*ClusterSummary, error) {
 }
 
 // clusterBaseline runs the default sweep grid on a plain single-process
-// server and returns its rendered report.
-func clusterBaseline(scale int) (string, string) {
+// server and returns its rendered report and how long the sweep took from
+// submission to completion.
+func clusterBaseline(scale int) (string, time.Duration, string) {
 	srv := server.New(server.Options{Workers: 3, QueueDepth: 64, Scale: scale,
 		DefaultDeadline: 60 * time.Second})
 	srv.Start()
@@ -381,13 +414,14 @@ func clusterBaseline(scale int) (string, string) {
 	c := newClient(ts.URL)
 	defer c.c.CloseIdleConnections()
 
+	start := time.Now()
 	code, body, _, err := c.post("/sweeps", server.SweepSpec{})
 	if err != nil || code != http.StatusAccepted {
-		return "", fmt.Sprintf("submit: code %d err %v", code, err)
+		return "", 0, fmt.Sprintf("submit: code %d err %v", code, err)
 	}
 	var sweep server.Sweep
 	if err := json.Unmarshal(body, &sweep); err != nil {
-		return "", err.Error()
+		return "", 0, err.Error()
 	}
 	deadline := time.Now().Add(4 * time.Minute)
 	for {
@@ -396,18 +430,19 @@ func clusterBaseline(scale int) (string, string) {
 			Report   string `json:"report"`
 		}
 		if _, err := c.get("/sweeps/"+sweep.ID, &doc); err != nil {
-			return "", err.Error()
+			return "", 0, err.Error()
 		}
 		if doc.Complete {
+			took := time.Since(start)
 			drainCtx, cancel := contextWithTimeout(60 * time.Second)
 			defer cancel()
 			if derr := srv.Drain(drainCtx); derr != nil {
-				return "", "drain: " + derr.Error()
+				return "", 0, "drain: " + derr.Error()
 			}
-			return doc.Report, ""
+			return doc.Report, took, ""
 		}
 		if time.Now().After(deadline) {
-			return "", "sweep never completed"
+			return "", 0, "sweep never completed"
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

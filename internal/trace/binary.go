@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -73,49 +72,62 @@ func (corruptError) FailureKind() failure.Kind { return failure.Corrupt }
 // maps such errors to a distinct exit code.
 func IsCorrupt(err error) bool { return failure.Of(err) == failure.Corrupt }
 
-// checksum folds the first n-1 bytes of an encoded record into its final
-// checksum byte. XOR detects every single-bit flip in the record image.
+// blockSize is the codec's unit of I/O. A Writer encodes records straight
+// into one block and writes it whole; a Reader fills one block with large
+// reads and validates and decodes each record where it lies. The header
+// and 2520 records fill the first block of an image exactly.
+const blockSize = 1 << 16
+
+// maxEmptyReads is how many reads in a row may return neither data nor an
+// error before a Reader gives up with io.ErrNoProgress (bufio's bound).
+const maxEmptyReads = 100
+
+// checksum folds the first recSize-1 bytes of an encoded record into its
+// final checksum byte. XOR is associative, so folding three little-endian
+// words and byte 24 gives the XOR of the 25 bytes one by one. XOR detects
+// every single-bit flip in the record image.
 func checksum(b []byte) uint8 {
-	c := uint8(checkSeed)
-	for _, x := range b[:recSize-1] {
-		c ^= x
-	}
-	return c
+	_ = b[recSize-2]
+	w := binary.LittleEndian.Uint64(b[0:8]) ^ binary.LittleEndian.Uint64(b[8:16]) ^
+		binary.LittleEndian.Uint64(b[16:24])
+	w ^= w >> 32
+	w ^= w >> 16
+	w ^= w >> 8
+	return uint8(w) ^ b[24] ^ checkSeed
 }
 
 // Writer streams records to w in the binary trace format. Call Close to
-// flush and finalize. The record count is written up-front via Reserve-less
-// streaming, so the header count is patched only when w is an io.WriteSeeker;
-// otherwise the count field is zero and the reader streams until EOF.
+// flush and finalize. Records are encoded straight into one block, which
+// is written whole when it fills. The header count is patched only when w
+// is an io.WriteSeeker; otherwise the count field is zero and the reader
+// streams until EOF.
 type Writer struct {
-	w     *bufio.Writer
+	dst   io.Writer
 	seek  io.WriteSeeker
+	block []byte // block[:n] is encoded but not yet written
+	n     int
+	err   error // the first write failure; every later Write and Close report it
 	count uint64
 	hash  uint64
-	buf   [recSize]byte
 }
 
-// NewWriter creates a trace writer on w.
+// NewWriter creates a trace writer on w. The header is written with the
+// first block.
 func NewWriter(w io.Writer) (*Writer, error) {
-	tw := &Writer{w: bufio.NewWriterSize(w, 1<<16), hash: fnvOffset64 ^ checkSeed}
+	tw := &Writer{dst: w, block: make([]byte, blockSize), n: hdrSize, hash: fnvOffset64 ^ checkSeed}
 	if ws, ok := w.(io.WriteSeeker); ok {
 		tw.seek = ws
 	}
-	var hdr [hdrSize]byte
-	copy(hdr[:4], binMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], binVersion)
-	// count (hdr[8:16]) patched on Close when seekable.
-	if _, err := tw.w.Write(hdr[:]); err != nil {
-		return nil, err
-	}
+	copy(tw.block[:4], binMagic)
+	binary.LittleEndian.PutUint32(tw.block[4:8], binVersion)
+	// count (block[8:16]) patched on Close when seekable.
 	return tw, nil
 }
 
 // encodeRecord renders rec into the canonical v3 record framing, checksum
-// byte included. It is shared by Writer.Write and ContentHash so the
-// on-disk encoding and the content hash can never drift apart.
-func encodeRecord(buf *[recSize]byte, rec *Record) {
-	b := buf[:]
+// byte included. It is shared by Writer.Write and Hasher.WriteRecord so
+// the on-disk encoding and the content hash can never drift apart.
+func encodeRecord(b *[recSize]byte, rec *Record) {
 	binary.LittleEndian.PutUint32(b[0:4], rec.PC)
 	b[4] = uint8(rec.Instr.Op)
 	b[5] = rec.Instr.Rd
@@ -133,21 +145,41 @@ func encodeRecord(buf *[recSize]byte, rec *Record) {
 		flags |= 2
 	}
 	b[24] = flags
-	b[25] = checksum(b)
+	b[25] = checksum(b[:])
 }
 
-// Write appends one record, folding it into the running content hash.
+// Write appends one record, encoded in place in the block and folded into
+// the running content hash.
 func (tw *Writer) Write(rec *Record) error {
-	encodeRecord(&tw.buf, rec)
-	h := tw.hash
-	for _, b := range tw.buf {
-		h ^= uint64(b)
-		h *= fnvPrime64
+	if len(tw.block)-tw.n < recSize {
+		if err := tw.flush(); err != nil {
+			return err
+		}
 	}
-	tw.hash = h
+	b := (*[recSize]byte)(tw.block[tw.n:])
+	encodeRecord(b, rec)
+	tw.hash = fnv1a(tw.hash, b[:])
+	tw.n += recSize
 	tw.count++
-	_, err := tw.w.Write(tw.buf[:])
-	return err
+	return nil
+}
+
+// flush writes the block's encoded bytes. A write that takes fewer bytes
+// without an error fails with io.ErrShortWrite, as bufio's does.
+func (tw *Writer) flush() error {
+	if tw.err != nil {
+		return tw.err
+	}
+	n, err := tw.dst.Write(tw.block[:tw.n])
+	if err == nil && n < tw.n {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		tw.err = err
+		return err
+	}
+	tw.n = 0
+	return nil
 }
 
 // Sum64 reports the content hash (trace.ContentHash) of everything written
@@ -158,7 +190,7 @@ func (tw *Writer) Sum64() uint64 { return tw.hash }
 // Close flushes buffered data and, when the underlying writer is seekable,
 // patches the record count into the header.
 func (tw *Writer) Close() error {
-	if err := tw.w.Flush(); err != nil {
+	if err := tw.flush(); err != nil {
 		return err
 	}
 	if tw.seek == nil {
@@ -181,67 +213,135 @@ func (tw *Writer) Count() uint64 { return tw.count }
 
 // Reader streams records from the binary trace format. It implements
 // Source; decoding errors surface through Err after Next returns false.
+// It reads one block at a time and validates and decodes each record in
+// place.
 //
 // Error-handling contract (see docs/robustness.md): after Next returns
 // false the caller MUST consult Err — a truncated or corrupted stream is
 // otherwise indistinguishable from a short trace. core.RunChecked does this
 // automatically for any Source exposing Err() error.
 type Reader struct {
-	r       *bufio.Reader
+	src     io.Reader
+	block   []byte // block[pos:end] is read but not yet delivered
+	pos     int
+	end     int
+	srcErr  error  // the source's first error, met once the buffered bytes run out
 	left    uint64 // records remaining per header; ^0 means stream to EOF
 	counted bool   // header carried an authoritative record count
 	read    uint64 // records decoded so far
 	err     error
-	buf     [recSize]byte
+	last    [recSize]byte // the final counted record, kept while looking past it
 }
 
 // NewReader opens a binary trace stream. Header-level corruption (short
 // header, bad magic, unsupported version) is reported immediately; record-
 // level corruption surfaces later through Err.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [hdrSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	tr := &Reader{src: r, block: make([]byte, blockSize)}
+	if err := tr.fill(hdrSize); err != nil {
 		return nil, fmt.Errorf("%w: reading header: %v", ErrBadHeader, err)
 	}
+	hdr := tr.block[:hdrSize]
 	if string(hdr[:4]) != binMagic {
 		return nil, ErrBadMagic
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != binVersion {
 		return nil, fmt.Errorf("%w %d (want %d; regenerate with ddtrace)", ErrBadVersion, v, binVersion)
 	}
-	left := binary.LittleEndian.Uint64(hdr[8:16])
-	counted := left != 0
-	if left == 0 {
-		left = ^uint64(0)
+	tr.left = binary.LittleEndian.Uint64(hdr[8:16])
+	tr.counted = tr.left != 0
+	if !tr.counted {
+		tr.left = ^uint64(0)
 	}
-	return &Reader{r: br, left: left, counted: counted}, nil
+	tr.pos = hdrSize
+	return tr, nil
+}
+
+// fill reads until at least need bytes are buffered, first moving what is
+// left of the block to its start. Each read offers the source the rest of
+// the block. The error reads like io.ReadFull's: io.EOF when the stream
+// ended with nothing buffered, io.ErrUnexpectedEOF when it ended short of
+// need, else the source's own error — io.ErrNoProgress once maxEmptyReads
+// reads in a row returned neither data nor an error.
+func (tr *Reader) fill(need int) error {
+	if tr.pos > 0 {
+		tr.end = copy(tr.block, tr.block[tr.pos:tr.end])
+		tr.pos = 0
+	}
+	for empty := 0; tr.end < need; {
+		if err := tr.srcErr; err != nil {
+			if err == io.EOF && tr.end > 0 {
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		n, err := tr.src.Read(tr.block[tr.end:])
+		tr.end += n
+		tr.srcErr = err
+		switch {
+		case n > 0:
+			empty = 0
+		case err == nil:
+			if empty++; empty == maxEmptyReads {
+				tr.srcErr = io.ErrNoProgress
+			}
+		}
+	}
+	return nil
+}
+
+// next returns the next record's validated image, or nil once the stream
+// has ended or failed (Err tells which). The image lies in the block and
+// stays valid until the following call.
+func (tr *Reader) next() []byte {
+	if tr.left == 0 || tr.err != nil {
+		return nil
+	}
+	if tr.end-tr.pos < recSize {
+		if err := tr.fill(recSize); err != nil {
+			switch {
+			case err == io.EOF && !tr.counted:
+				// Clean end of a count-less stream.
+			case err == io.EOF:
+				tr.err = fmt.Errorf("%w: stream ended after %d records, header promised %d more",
+					ErrTruncated, tr.read, tr.left)
+			case err == io.ErrUnexpectedEOF:
+				tr.err = fmt.Errorf("%w: stream ended mid-record after %d records", ErrTruncated, tr.read)
+			default:
+				tr.err = fmt.Errorf("trace: reading record %d: %w", tr.read, err)
+			}
+			tr.left = 0
+			return nil
+		}
+	}
+	b := tr.block[tr.pos : tr.pos+recSize : tr.pos+recSize]
+	if err := tr.validate(b); err != nil {
+		tr.err = err
+		tr.left = 0
+		return nil
+	}
+	tr.pos += recSize
+	tr.read++
+	if tr.counted {
+		tr.left--
+		if tr.left == 0 {
+			// The header's count is authoritative: anything after the final
+			// record (a duplicated record, appended garbage) is corruption.
+			// Looking may refill the block, so the record moves out first.
+			b = tr.last[:]
+			copy(b, tr.block[tr.pos-recSize:tr.pos])
+			if tr.pos < tr.end || tr.fill(1) == nil {
+				tr.err = fmt.Errorf("%w (after %d records)", ErrTrailingData, tr.read)
+			}
+		}
+	}
+	return b
 }
 
 // Next implements Source.
 func (tr *Reader) Next(rec *Record) bool {
-	if tr.left == 0 || tr.err != nil {
-		return false
-	}
-	if _, err := io.ReadFull(tr.r, tr.buf[:]); err != nil {
-		switch {
-		case err == io.EOF && !tr.counted:
-			// Clean end of a count-less stream.
-		case err == io.EOF:
-			tr.err = fmt.Errorf("%w: stream ended after %d records, header promised %d more",
-				ErrTruncated, tr.read, tr.left)
-		case err == io.ErrUnexpectedEOF:
-			tr.err = fmt.Errorf("%w: stream ended mid-record after %d records", ErrTruncated, tr.read)
-		default:
-			tr.err = fmt.Errorf("trace: reading record %d: %w", tr.read, err)
-		}
-		tr.left = 0
-		return false
-	}
-	b := tr.buf[:]
-	if err := tr.validate(b); err != nil {
-		tr.err = err
-		tr.left = 0
+	b := tr.next()
+	if b == nil {
 		return false
 	}
 	rec.PC = binary.LittleEndian.Uint32(b[0:4])
@@ -257,18 +357,25 @@ func (tr *Reader) Next(rec *Record) bool {
 	rec.Addr = binary.LittleEndian.Uint32(b[16:20])
 	rec.Value = int32(binary.LittleEndian.Uint32(b[20:24]))
 	rec.Taken = b[24]&2 != 0
-	tr.read++
-	if tr.counted {
-		tr.left--
-		if tr.left == 0 {
-			// The header's count is authoritative: anything after the final
-			// record (a duplicated record, appended garbage) is corruption.
-			if _, err := tr.r.Peek(1); err == nil {
-				tr.err = fmt.Errorf("%w (after %d records)", ErrTrailingData, tr.read)
-			}
-		}
-	}
 	return true
+}
+
+// contentHash drains the reader into ContentHash's value, folding each
+// validated record image as it was read. A record that passes validation
+// is its own canonical encoding — every byte is a field, the flag byte
+// carries only bits 0-1, and the checksum byte was just verified — so
+// decoding it and encoding it again would fold the same bytes.
+func (tr *Reader) contentHash() (uint64, int64, error) {
+	h := uint64(fnvOffset64 ^ checkSeed)
+	var n int64
+	for b := tr.next(); b != nil; b = tr.next() {
+		h = fnv1a(h, b)
+		n++
+	}
+	if tr.err != nil {
+		return 0, n, tr.err
+	}
+	return h, n, nil
 }
 
 // validate rejects structurally impossible records before they reach the
@@ -281,9 +388,10 @@ func (tr *Reader) validate(b []byte) error {
 	if int(b[4]) >= isa.NumOps {
 		return fmt.Errorf("%w %d: opcode %d out of range", ErrCorruptRecord, tr.read, b[4])
 	}
-	for i, name := range [...]string{"rd", "rs1", "rs2"} {
-		if int(b[5+i]) >= isa.NumRegs {
-			return fmt.Errorf("%w %d: register %s=%d out of range", ErrCorruptRecord, tr.read, name, b[5+i])
+	for i := 5; i < 8; i++ {
+		if int(b[i]) >= isa.NumRegs {
+			return fmt.Errorf("%w %d: register %s=%d out of range", ErrCorruptRecord, tr.read,
+				[...]string{"rd", "rs1", "rs2"}[i-5], b[i])
 		}
 	}
 	if b[24]&^3 != 0 {

@@ -13,7 +13,9 @@ import (
 // bytes: it never panics, never loops forever, and for every record it does
 // deliver, the record passed structural validation (opcode and registers in
 // range, defined flag bits) — so corrupt input can never reach the
-// scheduler as out-of-range state.
+// scheduler as out-of-range state. Every delivered record re-encodes to
+// the exact bytes it was read from, and a clean stream's content hash
+// equals the hash of the records it delivered.
 func FuzzReadTrace(f *testing.F) {
 	valid := imageForFuzz(f, 10)
 	f.Add(valid)
@@ -34,19 +36,52 @@ func FuzzReadTrace(f *testing.F) {
 			return
 		}
 		var rec trace.Record
-		n := 0
+		var got trace.Buffer
 		limit := len(data) // can never deliver more records than bytes
 		for r.Next(&rec) {
-			n++
-			if n > limit {
-				t.Fatalf("reader delivered %d records from %d bytes", n, len(data))
+			got.Append(rec)
+			if got.Len() > limit {
+				t.Fatalf("reader delivered %d records from %d bytes", got.Len(), len(data))
 			}
 		}
-		if err := r.Err(); err != nil && !trace.IsCorrupt(err) {
+		err = r.Err()
+		if err != nil && !trace.IsCorrupt(err) {
 			t.Fatalf("Err not classified as corrupt: %v", err)
 		}
+		n := got.Len()
 		if uint64(n) != r.Records() {
 			t.Fatalf("delivered %d records but Records() = %d", n, r.Records())
+		}
+
+		var enc bytes.Buffer
+		w, werr := trace.NewWriter(&enc)
+		if werr != nil {
+			t.Fatal(werr)
+		}
+		for i := 0; i < n; i++ {
+			if werr := w.Write(got.At(i)); werr != nil {
+				t.Fatal(werr)
+			}
+		}
+		if werr := w.Close(); werr != nil {
+			t.Fatal(werr)
+		}
+		read := data[trace.HeaderSize : trace.HeaderSize+n*trace.RecordSize]
+		if re := enc.Bytes()[trace.HeaderSize:]; !bytes.Equal(re, read) {
+			t.Fatalf("%d delivered records re-encode to % x, were read from % x", n, re, read)
+		}
+
+		if err != nil {
+			return
+		}
+		r, err = trace.NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, hn, err := trace.ContentHash(r)
+		if err != nil || hn != int64(n) || h != got.Hash() {
+			t.Fatalf("ContentHash over the Reader = %#x/%d/%v, over its %d records %#x",
+				h, hn, err, n, got.Hash())
 		}
 	})
 }

@@ -20,7 +20,13 @@ const (
 // trace format's checkSeed. It is the integrity primitive shared by trace
 // content hashing and the on-disk result store (internal/store).
 func Checksum64(data []byte) uint64 {
-	h := uint64(fnvOffset64) ^ uint64(checkSeed)
+	return fnv1a(fnvOffset64^checkSeed, data)
+}
+
+// fnv1a folds data into the running FNV-1a state h: the one byte fold
+// behind Checksum64, Hasher, and the content hashes a Writer and a Reader
+// fold inline.
+func fnv1a(h uint64, data []byte) uint64 {
 	for _, b := range data {
 		h ^= uint64(b)
 		h *= fnvPrime64
@@ -46,12 +52,7 @@ func NewHasher() *Hasher {
 // WriteRecord folds one record's canonical binary encoding into the hash.
 func (hs *Hasher) WriteRecord(rec *Record) {
 	encodeRecord(&hs.buf, rec)
-	h := hs.h
-	for _, b := range hs.buf {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	hs.h = h
+	hs.h = fnv1a(hs.h, hs.buf[:])
 	hs.n++
 }
 
@@ -70,8 +71,12 @@ func (hs *Hasher) Records() int64 { return hs.n }
 //
 // ContentHash honors the error-handling contract: a source that fails
 // mid-stream (truncation, corruption) fails the hash rather than silently
-// hashing a prefix.
+// hashing a prefix. A binary Reader is hashed from its validated record
+// images as read, with no decoding.
 func ContentHash(src Source) (uint64, int64, error) {
+	if r, ok := src.(*Reader); ok {
+		return r.contentHash()
+	}
 	hs := NewHasher()
 	var rec Record
 	for src.Next(&rec) {

@@ -9,7 +9,7 @@ package trace
 //     traces); its content hash is memoized after the first pass;
 //   - *Spool: on disk in the v3 binary format, written once during the
 //     first pass with the FNV content hash folded inline, then re-read
-//     with O(bufio) memory per open;
+//     with one 64 KiB block of memory per open;
 //   - *RegenProvider: nothing retained at all — every open deterministically
 //     re-runs the generator (a VM execution, a tracegen profile) through a
 //     bounded pipe, so generation overlaps consumption.

@@ -1,10 +1,11 @@
 package trace
 
 // Spool: a trace parked on disk in the v3 binary format, re-openable any
-// number of times with O(bufio) memory per open. A spool is written once —
-// during the trace's first generation pass — with the FNV content hash
-// folded inline by the Writer, so the hash is known the moment the spool
-// finalizes and no second pass over the bytes is ever needed.
+// number of times with one 64 KiB block of memory per open. A spool is
+// written once — during the trace's first generation pass — with the FNV
+// content hash folded inline by the Writer, so the hash is known the
+// moment the spool finalizes and no second pass over the bytes is ever
+// needed.
 //
 // Spool files commit via temp-file + rename: a crash mid-write leaves a
 // .tmp file (cleaned by the next writer), never a truncated trace under
@@ -40,27 +41,38 @@ func (s *Spool) ContentHash() (uint64, int64, error) { return s.hash, s.n, nil }
 // closes the file when it ends (cleanly or on error); abandon it early
 // with CloseSource.
 func (s *Spool) Open() (ErrSource, error) {
-	f, err := os.Open(s.path)
+	src, err := OpenFile(s.path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: opening spool: %w", err)
+	}
+	return src, nil
+}
+
+// OpenFile opens a binary trace file as a stream. The stream closes the
+// file when it ends (cleanly or on error); abandon it early with
+// CloseSource.
+func OpenFile(path string) (ErrSource, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
 	r, err := NewReader(f)
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("trace: spool %s: %w", s.path, err)
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
-	return &spoolSource{f: f, r: r}, nil
+	return &fileSource{f: f, r: r}, nil
 }
 
-// spoolSource streams one open of a spool file, closing the file when the
+// fileSource streams one open of a trace file, closing the file when the
 // stream ends so fully consumed opens never leak a descriptor.
-type spoolSource struct {
+type fileSource struct {
 	f      *os.File
 	r      *Reader
 	closed bool
 }
 
-func (s *spoolSource) Next(rec *Record) bool {
+func (s *fileSource) Next(rec *Record) bool {
 	if s.closed {
 		return false
 	}
@@ -71,10 +83,10 @@ func (s *spoolSource) Next(rec *Record) bool {
 	return false
 }
 
-func (s *spoolSource) Err() error { return s.r.Err() }
+func (s *fileSource) Err() error { return s.r.Err() }
 
 // Close releases the file; safe to call multiple times.
-func (s *spoolSource) Close() error {
+func (s *fileSource) Close() error {
 	if s.closed {
 		return nil
 	}
@@ -193,11 +205,11 @@ func OpenSpool(path string) (*Spool, error) {
 	defer f.Close()
 	r, err := NewReader(f)
 	if err != nil {
-		return nil, fmt.Errorf("trace: spool %s: %w", path, err)
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
 	h, n, err := ContentHash(r)
 	if err != nil {
-		return nil, fmt.Errorf("trace: validating spool %s: %w", path, err)
+		return nil, fmt.Errorf("trace: validating %s: %w", path, err)
 	}
 	return &Spool{path: path, hash: h, n: n}, nil
 }
